@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"ursa/internal/memo"
 	"ursa/internal/metrics"
 	"ursa/internal/server"
 	"ursa/internal/store"
@@ -82,7 +83,7 @@ type Router struct {
 	backs map[string]*backend
 	names []string // sorted, fixed at construction
 
-	flight store.Flight
+	flight memo.Flight[string, *upstream]
 	stop   chan struct{}
 	done   chan struct{}
 
@@ -348,11 +349,12 @@ func (r *Router) candidates(key string) []*backend {
 
 // upstream is one forwarded response, reduced to what the client needs:
 // the status, the backpressure header, and the body bytes. It is also
-// the payload coalesced requests share through the single-flight group.
+// what coalesced requests share through the single-flight group, so it
+// is never mutated after forward returns it.
 type upstream struct {
-	Status     int    `json:"status"`
-	RetryAfter string `json:"retry_after,omitempty"`
-	Body       []byte `json:"body"`
+	Status     int
+	RetryAfter string
+	Body       []byte
 }
 
 // forward sends the request to the candidates in order, returning the
@@ -443,12 +445,8 @@ func (r *Router) handleCompile(w http.ResponseWriter, req *http.Request) {
 	// excludes execution fields (run/init) whose responses differ.
 	sum := sha256.Sum256(body)
 	flightKey := key + "|" + hex.EncodeToString(sum[:8])
-	data, err, leader := r.flight.Do(flightKey, func() ([]byte, error) {
-		up, err := r.routeCompile(ctx, key, &cr, body)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(up)
+	up, leader, err := r.flight.Do(ctx, flightKey, func() (*upstream, error) {
+		return r.routeCompile(ctx, key, &cr, body)
 	})
 	if !leader {
 		r.mCoalesced.Inc()
@@ -457,12 +455,7 @@ func (r *Router) handleCompile(w http.ResponseWriter, req *http.Request) {
 		r.writeError(w, http.StatusBadGateway, err.Error())
 		return
 	}
-	var up upstream
-	if err := json.Unmarshal(data, &up); err != nil {
-		r.writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	r.writeUpstream(w, &up)
+	r.writeUpstream(w, up)
 }
 
 // routeCompile places one compile: pick candidates, forward to the
@@ -730,7 +723,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 
 func (r *Router) handleCache(w http.ResponseWriter, req *http.Request) {
 	key := strings.TrimPrefix(req.URL.Path, "/v1/cache/")
-	if key == "" || strings.ContainsAny(key, "/.") || len(key) > 128 {
+	if !store.ValidKey(key) {
 		r.writeError(w, http.StatusBadRequest, "bad cache key")
 		return
 	}

@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -402,6 +404,79 @@ func TestRouterCoalesces(t *testing.T) {
 	}
 	if got := router.mCoalesced.Value(); got != n-1 {
 		t.Errorf("coalesced metric = %d, want %d", got, n-1)
+	}
+}
+
+// TestRouterFollowerOutlivesLeaderCancel: when the leader's client
+// disconnects, a coalesced follower whose own request is live does not
+// inherit the cancellation: it retries upstream and gets a 200.
+func TestRouterFollowerOutlivesLeaderCancel(t *testing.T) {
+	stub := newStubShard(t)
+	stub.mu.Lock()
+	stub.delay = 300 * time.Millisecond
+	stub.mu.Unlock()
+	router := stubRouter(t, nil, stub)
+	gw := httptest.NewServer(router.Handler())
+	defer gw.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, gw.URL+"/v1/compile", strings.NewReader(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		if resp, err := gw.Client().Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	compiles := router.mRequests.With("compile")
+	for compiles.Value() < 1 {
+		runtime.Gosched()
+	}
+
+	followerCode := make(chan int, 1)
+	go func() {
+		resp, _ := postJSON(t, gw.Client(), gw.URL+"/v1/compile", `{}`)
+		followerCode <- resp.StatusCode
+	}()
+	for compiles.Value() < 2 {
+		runtime.Gosched()
+	}
+	// The follower's handler decodes the body and joins the leader's
+	// flight within microseconds; the upstream call it joins lasts 300ms.
+	time.Sleep(50 * time.Millisecond)
+	cancel()
+	<-leaderDone
+
+	if code := <-followerCode; code != http.StatusOK {
+		t.Fatalf("follower got HTTP %d after the leader's client cancelled, want 200", code)
+	}
+}
+
+// TestRouterCacheKeyRule: the router applies the store's key rule to
+// /v1/cache before forwarding anything.
+func TestRouterCacheKeyRule(t *testing.T) {
+	router := stubRouter(t, nil, newStubShard(t))
+	gw := httptest.NewServer(router.Handler())
+	defer gw.Close()
+	for _, bad := range []string{"a", "k~k"} {
+		for _, method := range []string{http.MethodGet, http.MethodPut} {
+			req, err := http.NewRequest(method, gw.URL+"/v1/cache/"+bad, strings.NewReader("x"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := gw.Client().Do(req)
+			if err != nil {
+				t.Fatalf("%s %q: %v", method, bad, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s of invalid key %q = %d; want 400", method, bad, resp.StatusCode)
+			}
+		}
 	}
 }
 

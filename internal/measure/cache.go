@@ -1,10 +1,12 @@
 package measure
 
 import (
+	"context"
 	"crypto/sha256"
 	"sync"
 
 	"ursa/internal/dag"
+	"ursa/internal/memo"
 	"ursa/internal/reuse"
 )
 
@@ -33,36 +35,17 @@ import (
 // rest wait and share its result — under the parallel candidate evaluator
 // N workers hitting one fresh fingerprint cost one O(N³) matching, not N.
 type Cache struct {
-	mu         sync.Mutex
-	entries    map[cacheKey]*cacheEntry
-	head, tail *cacheEntry // LRU list, head = most recently used
-	bytes      int64       // approximate retained bytes across entries
-	budget     int64
-	hits       uint64
-	misses     uint64
-	evictions  uint64
-	coalesced  uint64
-	flight     map[cacheKey]*flightCall
+	mu        sync.Mutex
+	lru       *memo.LRU[cacheKey, *Result] // sized by approxResultBytes
+	hits      uint64
+	misses    uint64
+	coalesced uint64
+	flight    memo.Flight[cacheKey, *Result]
 }
 
 type cacheKey struct {
 	resource string
 	graph    [sha256.Size]byte
-}
-
-// cacheEntry is one memoized measurement, threaded on the LRU list.
-type cacheEntry struct {
-	key        cacheKey
-	res        *Result
-	bytes      int64
-	prev, next *cacheEntry
-}
-
-// flightCall is one in-progress measurement that concurrent misses of the
-// same key wait on.
-type flightCall struct {
-	done chan struct{}
-	res  *Result
 }
 
 // DefaultBudget bounds the cache's approximate retained bytes when
@@ -80,11 +63,7 @@ func NewCacheBudget(budget int64) *Cache {
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
-	return &Cache{
-		entries: make(map[cacheKey]*cacheEntry),
-		budget:  budget,
-		flight:  make(map[cacheKey]*flightCall),
-	}
+	return &Cache{lru: memo.NewLRU[cacheKey, *Result](budget, nil)}
 }
 
 // SetBudget changes the byte budget, evicting immediately if the cache
@@ -94,8 +73,7 @@ func (c *Cache) SetBudget(budget int64) {
 		return
 	}
 	c.mu.Lock()
-	c.budget = budget
-	c.evictLocked()
+	c.lru.SetBudget(budget)
 	c.mu.Unlock()
 }
 
@@ -110,87 +88,36 @@ func (c *Cache) Measure(g *dag.Graph, resource string, build func(*dag.Graph) *r
 	}
 	key := cacheKey{resource: resource, graph: g.Fingerprint()}
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
+	if res, ok := c.lru.Get(key); ok {
 		c.hits++
-		c.moveFront(e)
 		c.mu.Unlock()
-		return e.res
+		return res
 	}
 	c.misses++
-	if fc, ok := c.flight[key]; ok {
-		// Another goroutine is already building this measurement; wait
-		// for it rather than duplicating the O(N³) matching.
+	c.mu.Unlock()
+	res, leader, _ := c.flight.Do(context.Background(), key, func() (*Result, error) {
+		// Re-check: a previous leader may have stored this measurement
+		// between our miss and acquiring the flight slot.
+		c.mu.Lock()
+		res, ok := c.lru.Get(key)
+		c.mu.Unlock()
+		if ok {
+			return res, nil
+		}
+		res = Measure(build(g))
+		c.mu.Lock()
+		c.lru.Add(key, res, approxResultBytes(res))
+		c.mu.Unlock()
+		return res, nil
+	})
+	if !leader {
+		// Another goroutine was already building this measurement; we
+		// waited for it rather than duplicating the O(N³) matching.
+		c.mu.Lock()
 		c.coalesced++
 		c.mu.Unlock()
-		<-fc.done
-		return fc.res
 	}
-	fc := &flightCall{done: make(chan struct{})}
-	c.flight[key] = fc
-	c.mu.Unlock()
-
-	res := Measure(build(g))
-
-	c.mu.Lock()
-	fc.res = res
-	delete(c.flight, key)
-	if _, dup := c.entries[key]; !dup {
-		e := &cacheEntry{key: key, res: res, bytes: approxResultBytes(res)}
-		c.entries[key] = e
-		c.pushFront(e)
-		c.bytes += e.bytes
-		c.evictLocked()
-	}
-	c.mu.Unlock()
-	close(fc.done)
 	return res
-}
-
-// evictLocked drops least-recently-used entries until the cache fits its
-// budget, always keeping the most recent entry so a single oversized
-// measurement still caches. Called with c.mu held.
-func (c *Cache) evictLocked() {
-	for c.bytes > c.budget && c.tail != nil && c.tail != c.head {
-		e := c.tail
-		c.unlink(e)
-		delete(c.entries, e.key)
-		c.bytes -= e.bytes
-		c.evictions++
-	}
-}
-
-func (c *Cache) pushFront(e *cacheEntry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *Cache) unlink(e *cacheEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *Cache) moveFront(e *cacheEntry) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	c.pushFront(e)
 }
 
 // approxResultBytes estimates the memory a cached Result retains: the two
@@ -229,7 +156,7 @@ func (c *Cache) Evictions() uint64 {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.evictions
+	return c.lru.Evictions()
 }
 
 // Coalesced reports how many misses waited on a concurrent identical
@@ -259,5 +186,5 @@ func (c *Cache) Entries() (entries int, bytes int64) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries), c.bytes
+	return c.lru.Len(), c.lru.Bytes()
 }

@@ -187,6 +187,29 @@ func TestCacheEndpointRejections(t *testing.T) {
 	}
 }
 
+// TestCacheEndpointKeyRule: the handler applies the store's key rule, so
+// a key the disk tier would refuse is a 400 for GET and PUT alike, never
+// a 204 that lands in the memory tier only.
+func TestCacheEndpointKeyRule(t *testing.T) {
+	_, url := newCachedServer(t, nil)
+	for _, bad := range []string{"a", "k~k"} {
+		for _, method := range []string{http.MethodGet, http.MethodPut} {
+			req, err := http.NewRequest(method, url+"/v1/cache/"+bad, bytes.NewReader(store.Frame([]byte("x"))))
+			if err != nil {
+				t.Fatalf("build %s: %v", method, err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatalf("%s %q: %v", method, bad, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s of invalid key %q = %d; want 400", method, bad, resp.StatusCode)
+			}
+		}
+	}
+}
+
 // TestHealthzReportsCaches: /healthz carries both cache snapshots when
 // the artifact cache is on, and omits the artifact block when off.
 func TestHealthzReportsCaches(t *testing.T) {

@@ -33,6 +33,8 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"ursa/internal/memo"
 )
 
 // hashSize is the length of the integrity header preceding every payload.
@@ -61,21 +63,9 @@ type Store struct {
 	dir    string
 	budget int64
 
-	mu      sync.Mutex
-	index   map[string]*diskEntry
-	lruHead *diskEntry // most recently used
-	lruTail *diskEntry // least recently used
-	bytes   int64
-	stats   StoreStats
-
-	flight Flight
-}
-
-// diskEntry is one artifact's index record, threaded on the LRU list.
-type diskEntry struct {
-	key        string
-	size       int64 // file size (header + payload)
-	prev, next *diskEntry
+	mu    sync.Mutex
+	index *memo.LRU[string, struct{}] // sized by file bytes (header + payload)
+	stats StoreStats
 }
 
 // Open opens (creating if needed) a store rooted at dir with the given
@@ -100,7 +90,8 @@ func Open(dir string, budget int64) (*Store, error) {
 			_ = os.Remove(filepath.Join(tmp, n.Name()))
 		}
 	}
-	s := &Store{dir: dir, budget: budget, index: make(map[string]*diskEntry)}
+	s := &Store{dir: dir, budget: budget}
+	s.index = memo.NewLRU(budget, s.evicted)
 	if err := s.load(); err != nil {
 		return nil, err
 	}
@@ -133,7 +124,7 @@ func (s *Store) load() error {
 			if err != nil || !info.Mode().IsRegular() {
 				continue
 			}
-			if !validKey(f.Name()) {
+			if !ValidKey(f.Name()) {
 				continue
 			}
 			all = append(all, found{key: f.Name(), size: info.Size(), mtime: info.ModTime().UnixNano()})
@@ -141,18 +132,28 @@ func (s *Store) load() error {
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].mtime < all[j].mtime })
 	for _, f := range all {
-		e := &diskEntry{key: f.key, size: f.size}
-		s.index[f.key] = e
-		s.pushFront(e)
-		s.bytes += f.size
+		s.index.Add(f.key, struct{}{}, f.size)
 	}
-	s.evictLocked()
+	// The index keeps its newest entry whatever its size; a file larger
+	// than the whole budget cannot stay.
+	if n := len(all); n > 0 && s.index.Bytes() > s.budget {
+		s.index.Remove(all[n-1].key)
+		s.evicted(all[n-1].key, struct{}{})
+	}
 	return nil
 }
 
-// validKey reports whether key is safe to use as a file name: hex-ish
-// characters only, bounded length, no path separators or dots.
-func validKey(key string) bool {
+// evicted removes an artifact the byte budget pushed out of the index.
+// Called with s.mu held (or during Open).
+func (s *Store) evicted(key string, _ struct{}) {
+	s.stats.Evictions++
+	_ = os.Remove(s.path(key))
+}
+
+// ValidKey reports whether key is a well-formed cache key, safe to use as
+// a file name: letters, digits, '-' and '_' only, 2 to 128 bytes long.
+// Every tier and both /v1/cache handlers apply this one rule.
+func ValidKey(key string) bool {
 	if len(key) < 2 || len(key) > 128 {
 		return false
 	}
@@ -174,89 +175,28 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, "objects", key[:2], key)
 }
 
-// ---------------------------------------------------------------- LRU list
-
-func (s *Store) pushFront(e *diskEntry) {
-	e.prev = nil
-	e.next = s.lruHead
-	if s.lruHead != nil {
-		s.lruHead.prev = e
-	}
-	s.lruHead = e
-	if s.lruTail == nil {
-		s.lruTail = e
-	}
-}
-
-func (s *Store) unlink(e *diskEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.lruHead = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.lruTail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (s *Store) touch(e *diskEntry) {
-	if s.lruHead == e {
-		return
-	}
-	s.unlink(e)
-	s.pushFront(e)
-}
-
-// evictLocked removes least-recently-used artifacts until the store fits
-// its byte budget. Called with s.mu held.
-func (s *Store) evictLocked() {
-	for s.bytes > s.budget && s.lruTail != nil {
-		e := s.lruTail
-		s.unlink(e)
-		delete(s.index, e.key)
-		s.bytes -= e.size
-		s.stats.Evictions++
-		_ = os.Remove(s.path(e.key))
-	}
-}
-
-// dropLocked removes one entry from the index (corruption or external
-// deletion). Called with s.mu held.
-func (s *Store) dropLocked(key string) {
-	if e, ok := s.index[key]; ok {
-		s.unlink(e)
-		delete(s.index, key)
-		s.bytes -= e.size
-	}
-}
-
 // ------------------------------------------------------------------ Get
 
 // Get returns the artifact stored under key. Any integrity failure —
 // missing file, short file, sha256 mismatch — is a miss; a corrupt file
 // is additionally removed and counted, so the next Put can heal it.
 func (s *Store) Get(key string) ([]byte, bool) {
-	if s == nil || !validKey(key) {
+	if s == nil || !ValidKey(key) {
 		return nil, false
 	}
 	s.mu.Lock()
-	e, ok := s.index[key]
-	if !ok {
+	if _, ok := s.index.Get(key); !ok {
 		s.stats.Misses++
 		s.mu.Unlock()
 		return nil, false
 	}
-	s.touch(e)
 	s.mu.Unlock()
 
 	raw, err := os.ReadFile(s.path(key))
 	if err != nil {
 		// Evicted or externally deleted between lookup and read.
 		s.mu.Lock()
-		s.dropLocked(key)
+		s.index.Remove(key)
 		s.stats.Misses++
 		s.mu.Unlock()
 		return nil, false
@@ -265,7 +205,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	if !ok {
 		_ = os.Remove(s.path(key))
 		s.mu.Lock()
-		s.dropLocked(key)
+		s.index.Remove(key)
 		s.stats.Corruptions++
 		s.stats.Misses++
 		s.mu.Unlock()
@@ -299,16 +239,6 @@ func Frame(data []byte) []byte {
 	return append(out, data...)
 }
 
-// GetFramed returns the verified artifact under key in framed form
-// (integrity hash + payload) — what the peer protocol serves on the wire.
-func (s *Store) GetFramed(key string) ([]byte, bool) {
-	payload, ok := s.Get(key)
-	if !ok {
-		return nil, false
-	}
-	return Frame(payload), true
-}
-
 // ------------------------------------------------------------------ Put
 
 // Put stores data under key, atomically: the bytes land in a temp file
@@ -321,7 +251,7 @@ func (s *Store) Put(key string, data []byte) error {
 	if s == nil {
 		return nil
 	}
-	if !validKey(key) {
+	if !ValidKey(key) {
 		return ErrBadKey
 	}
 	size := int64(len(data) + hashSize)
@@ -335,18 +265,8 @@ func (s *Store) Put(key string, data []byte) error {
 		return err
 	}
 	s.mu.Lock()
-	if e, ok := s.index[key]; ok {
-		s.bytes += size - e.size
-		e.size = size
-		s.touch(e)
-	} else {
-		e := &diskEntry{key: key, size: size}
-		s.index[key] = e
-		s.pushFront(e)
-		s.bytes += size
-	}
+	s.index.Add(key, struct{}{}, size)
 	s.stats.Puts++
-	s.evictLocked()
 	s.mu.Unlock()
 	return nil
 }
@@ -381,30 +301,6 @@ func (s *Store) write(key string, data []byte) error {
 	return nil
 }
 
-// GetOrCompute returns the artifact under key, computing and storing it
-// on a miss. Concurrent calls for the same key coalesce: one caller runs
-// compute, the rest wait and share its result. A compute error is
-// returned to every waiter and nothing is stored.
-func (s *Store) GetOrCompute(key string, compute func() ([]byte, error)) ([]byte, error) {
-	if data, ok := s.Get(key); ok {
-		return data, nil
-	}
-	data, err, _ := s.flight.Do(key, func() ([]byte, error) {
-		// Re-check: a previous leader may have stored the artifact
-		// between our miss and acquiring the flight slot.
-		if data, ok := s.Get(key); ok {
-			return data, nil
-		}
-		data, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		_ = s.Put(key, data)
-		return data, nil
-	})
-	return data, err
-}
-
 // Stats returns a snapshot of the store's counters and contents.
 func (s *Store) Stats() StoreStats {
 	if s == nil {
@@ -413,8 +309,8 @@ func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.Entries = len(s.index)
-	st.Bytes = s.bytes
+	st.Entries = s.index.Len()
+	st.Bytes = s.index.Bytes()
 	return st
 }
 
@@ -425,5 +321,5 @@ func (s *Store) Len() int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.index)
+	return s.index.Len()
 }

@@ -5,9 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // key returns a deterministic valid cache key for test artifact i.
@@ -220,54 +219,55 @@ func TestStoreKeyValidation(t *testing.T) {
 	}
 }
 
-// TestStoreSingleFlight: concurrent GetOrCompute calls for one key run the
-// compute function exactly once.
-func TestStoreSingleFlight(t *testing.T) {
-	s, _ := openStore(t, 0)
-	var computes atomic.Int64
-	gate := make(chan struct{})
-	const workers = 8
-	var wg sync.WaitGroup
-	results := make([][]byte, workers)
-	for i := 0; i < workers; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-gate
-			data, err := s.GetOrCompute(key(1), func() ([]byte, error) {
-				computes.Add(1)
-				return []byte("computed once"), nil
-			})
-			if err != nil {
-				t.Errorf("GetOrCompute: %v", err)
-			}
-			results[i] = data
-		}()
-	}
-	close(gate)
-	wg.Wait()
-	if n := computes.Load(); n != 1 {
-		t.Fatalf("compute ran %d times; want 1", n)
-	}
-	for i, r := range results {
-		if string(r) != "computed once" {
-			t.Fatalf("worker %d got %q", i, r)
+// TestStoreReopenSmallerBudget: reopening a directory under a smaller
+// budget evicts the oldest artifacts until the rest fit, and removes the
+// evicted files from disk. A newest file larger than the whole budget
+// goes too.
+func TestStoreReopenSmallerBudget(t *testing.T) {
+	s, dir := openStore(t, 0)
+	payload := bytes.Repeat([]byte("r"), 100)
+	per := int64(len(payload) + hashSize)
+	base := time.Now().Add(-time.Hour)
+	for i := 0; i < 5; i++ {
+		if err := s.Put(key(i), payload); err != nil {
+			t.Fatalf("Put %d: %v", i, err)
+		}
+		// Explicit mtimes make the reopened recency order deterministic.
+		mt := base.Add(time.Duration(i) * time.Second)
+		if err := os.Chtimes(s.path(key(i)), mt, mt); err != nil {
+			t.Fatalf("chtimes: %v", err)
 		}
 	}
-}
 
-// TestStoreComputeErrorNotCached: a failed compute reaches the caller and
-// leaves nothing behind, so the next call retries.
-func TestStoreComputeErrorNotCached(t *testing.T) {
-	s, _ := openStore(t, 0)
-	boom := fmt.Errorf("compute failed")
-	if _, err := s.GetOrCompute(key(1), func() ([]byte, error) { return nil, boom }); err == nil {
-		t.Fatal("compute error swallowed")
+	s2, err := Open(dir, 2*per)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
 	}
-	data, err := s.GetOrCompute(key(1), func() ([]byte, error) { return []byte("retry"), nil })
-	if err != nil || string(data) != "retry" {
-		t.Fatalf("retry = %q, %v", data, err)
+	st := s2.Stats()
+	if st.Entries != 2 || st.Bytes != 2*per || st.Evictions != 3 {
+		t.Fatalf("after reopen stats = %+v; want 2 entries, %d bytes, 3 evictions", st, 2*per)
+	}
+	for i := 0; i < 5; i++ {
+		_, statErr := os.Stat(s2.path(key(i)))
+		if kept := i >= 3; kept != (statErr == nil) {
+			t.Fatalf("key %d: file present = %v, want %v", i, statErr == nil, kept)
+		}
+		if _, ok := s2.Get(key(i)); ok != (i >= 3) {
+			t.Fatalf("key %d: Get hit = %v, want %v", i, ok, i >= 3)
+		}
+	}
+
+	s3, err := Open(dir, per/2)
+	if err != nil {
+		t.Fatalf("second reopen: %v", err)
+	}
+	if st := s3.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Evictions != 2 {
+		t.Fatalf("under a budget below one artifact stats = %+v; want empty, 2 evictions", st)
+	}
+	for i := 3; i < 5; i++ {
+		if _, err := os.Stat(s3.path(key(i))); !os.IsNotExist(err) {
+			t.Fatalf("key %d: oversized file survived: stat err = %v", i, err)
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package store
 import (
 	"context"
 	"sync"
+
+	"ursa/internal/memo"
 )
 
 // Tier identifies which cache layer served (or failed to serve) a lookup.
@@ -62,15 +64,18 @@ type TierStats struct {
 // front to back; stores write through every configured tier. All methods
 // are safe for concurrent use, and every tier failure degrades to a miss.
 type TieredCache struct {
-	mem  *memCache
 	disk *Store
 	peer *PeerClient
 
 	mu        sync.Mutex
+	mem       *memo.LRU[string, []byte] // immutable payloads; callers must not mutate them
+	memBudget int64
+	memHits   uint64
+	memMisses uint64
 	computes  uint64
 	coalesced uint64
 
-	flight Flight
+	flight memo.Flight[string, []byte]
 }
 
 // NewTiered assembles a cache from its tiers. memBudget <= 0 means
@@ -79,7 +84,7 @@ func NewTiered(memBudget int64, disk *Store, peer *PeerClient) *TieredCache {
 	if memBudget <= 0 {
 		memBudget = DefaultMemBudget
 	}
-	return &TieredCache{mem: newMemCache(memBudget), disk: disk, peer: peer}
+	return &TieredCache{mem: memo.NewLRU[string, []byte](memBudget, nil), memBudget: memBudget, disk: disk, peer: peer}
 }
 
 // Disk returns the disk tier, or nil.
@@ -99,16 +104,16 @@ func (t *TieredCache) GetCtx(ctx context.Context, key string) ([]byte, Tier, boo
 	if t == nil {
 		return nil, TierNone, false
 	}
-	if data, ok := t.mem.get(key); ok {
+	if data, ok := t.memGet(key); ok {
 		return data, TierMem, true
 	}
 	if data, ok := t.disk.Get(key); ok {
-		t.mem.put(key, data)
+		t.memPut(key, data)
 		return data, TierDisk, true
 	}
 	if data, ok := t.peer.GetCtx(ctx, key); ok {
 		_ = t.disk.Put(key, data)
-		t.mem.put(key, data)
+		t.memPut(key, data)
 		return data, TierPeer, true
 	}
 	return nil, TierNone, false
@@ -120,11 +125,11 @@ func (t *TieredCache) LocalGet(key string) ([]byte, bool) {
 	if t == nil {
 		return nil, false
 	}
-	if data, ok := t.mem.get(key); ok {
+	if data, ok := t.memGet(key); ok {
 		return data, true
 	}
 	if data, ok := t.disk.Get(key); ok {
-		t.mem.put(key, data)
+		t.memPut(key, data)
 		return data, true
 	}
 	return nil, false
@@ -137,7 +142,7 @@ func (t *TieredCache) Put(key string, data []byte) {
 	if t == nil {
 		return
 	}
-	t.mem.put(key, data)
+	t.memPut(key, data)
 	_ = t.disk.Put(key, data)
 	t.peer.Put(key, data)
 }
@@ -148,7 +153,7 @@ func (t *TieredCache) LocalPut(key string, data []byte) {
 	if t == nil {
 		return
 	}
-	t.mem.put(key, data)
+	t.memPut(key, data)
 	_ = t.disk.Put(key, data)
 }
 
@@ -164,7 +169,9 @@ func (t *TieredCache) GetOrCompute(key string, compute func() ([]byte, error)) (
 // GetOrComputeCtx is GetOrCompute with the lookup's peer leg under ctx.
 // The write-through after a compute intentionally stays on the background
 // context: once the result exists it should reach every tier even if the
-// requesting client has gone away.
+// requesting client has gone away. A follower whose leader fails with a
+// context error (the leader's compile was cancelled) while ctx is still
+// live computes itself instead of inheriting that cancellation.
 func (t *TieredCache) GetOrComputeCtx(ctx context.Context, key string, compute func() ([]byte, error)) ([]byte, Tier, error) {
 	if t == nil {
 		data, err := compute()
@@ -174,10 +181,10 @@ func (t *TieredCache) GetOrComputeCtx(ctx context.Context, key string, compute f
 		return data, tier, nil
 	}
 	var servedBy Tier = TierNone
-	data, err, leader := t.flight.Do(key, func() ([]byte, error) {
+	data, leader, err := t.flight.Do(ctx, key, func() ([]byte, error) {
 		// Re-check the fast tier: a previous leader may have landed the
 		// artifact between our miss and acquiring the flight slot.
-		if data, ok := t.mem.get(key); ok {
+		if data, ok := t.memGet(key); ok {
 			servedBy = TierMem
 			return data, nil
 		}
@@ -210,7 +217,7 @@ func (t *TieredCache) Stats() TierStats {
 	if t == nil {
 		return TierStats{}
 	}
-	st := TierStats{Mem: t.mem.stats()}
+	var st TierStats
 	if t.disk != nil {
 		ds := t.disk.Stats()
 		st.Disk = &ds
@@ -220,6 +227,13 @@ func (t *TieredCache) Stats() TierStats {
 		st.Peer = &ps
 	}
 	t.mu.Lock()
+	st.Mem = MemStats{
+		Hits:      t.memHits,
+		Misses:    t.memMisses,
+		Evictions: t.mem.Evictions(),
+		Entries:   t.mem.Len(),
+		Bytes:     t.mem.Bytes(),
+	}
 	st.Computes = t.computes
 	st.Coalesced = t.coalesced
 	t.mu.Unlock()
@@ -228,116 +242,25 @@ func (t *TieredCache) Stats() TierStats {
 
 // ------------------------------------------------------------ memory tier
 
-// memCache is the in-process tier: a byte-budget LRU over immutable
-// artifact payloads. Callers must not mutate returned slices.
-type memCache struct {
-	budget int64
-
-	mu         sync.Mutex
-	entries    map[string]*memEntry
-	head, tail *memEntry
-	bytes      int64
-	hits       uint64
-	misses     uint64
-	evictions  uint64
-}
-
-type memEntry struct {
-	key        string
-	data       []byte
-	prev, next *memEntry
-}
-
-func newMemCache(budget int64) *memCache {
-	return &memCache{budget: budget, entries: make(map[string]*memEntry)}
-}
-
-func (m *memCache) get(key string) ([]byte, bool) {
-	if m == nil {
-		return nil, false
+func (t *TieredCache) memGet(key string) ([]byte, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	data, ok := t.mem.Get(key)
+	if ok {
+		t.memHits++
+	} else {
+		t.memMisses++
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.entries[key]
-	if !ok {
-		m.misses++
-		return nil, false
-	}
-	m.hits++
-	m.moveFront(e)
-	return e.data, true
+	return data, ok
 }
 
-func (m *memCache) put(key string, data []byte) {
-	if m == nil || int64(len(data)) > m.budget {
+// memPut stores an artifact in the memory tier; one larger than the whole
+// budget is not kept.
+func (t *TieredCache) memPut(key string, data []byte) {
+	if int64(len(data)) > t.memBudget {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e, ok := m.entries[key]; ok {
-		m.bytes += int64(len(data) - len(e.data))
-		e.data = data
-		m.moveFront(e)
-	} else {
-		e := &memEntry{key: key, data: data}
-		m.entries[key] = e
-		m.pushFront(e)
-		m.bytes += int64(len(data))
-	}
-	for m.bytes > m.budget && m.tail != nil {
-		ev := m.tail
-		m.unlink(ev)
-		delete(m.entries, ev.key)
-		m.bytes -= int64(len(ev.data))
-		m.evictions++
-	}
-}
-
-func (m *memCache) pushFront(e *memEntry) {
-	e.prev = nil
-	e.next = m.head
-	if m.head != nil {
-		m.head.prev = e
-	}
-	m.head = e
-	if m.tail == nil {
-		m.tail = e
-	}
-}
-
-func (m *memCache) unlink(e *memEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		m.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		m.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (m *memCache) moveFront(e *memEntry) {
-	if m.head == e {
-		return
-	}
-	m.unlink(e)
-	m.pushFront(e)
-}
-
-func (m *memCache) stats() MemStats {
-	if m == nil {
-		return MemStats{}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return MemStats{
-		Hits:      m.hits,
-		Misses:    m.misses,
-		Evictions: m.evictions,
-		Entries:   len(m.entries),
-		Bytes:     m.bytes,
-	}
+	t.mu.Lock()
+	t.mem.Add(key, data, int64(len(data)))
+	t.mu.Unlock()
 }

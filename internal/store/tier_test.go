@@ -2,9 +2,12 @@ package store
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -105,6 +108,127 @@ func TestTieredCoalescing(t *testing.T) {
 	}
 	if st := tc.Stats(); st.Coalesced != uint64(coalesced) {
 		t.Fatalf("coalesced stat = %d; want %d", st.Coalesced, coalesced)
+	}
+}
+
+// TestTieredSingleFlight: concurrent GetOrComputeCtx calls for one key
+// run the compute function exactly once, and every caller gets its bytes.
+func TestTieredSingleFlight(t *testing.T) {
+	tc := NewTiered(0, nil, nil)
+	var computes atomic.Int64
+	gate := make(chan struct{})
+	const workers = 8
+	var wg sync.WaitGroup
+	results := make([][]byte, workers)
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-gate
+			data, _, err := tc.GetOrComputeCtx(context.Background(), key(1), func() ([]byte, error) {
+				computes.Add(1)
+				return []byte("computed once"), nil
+			})
+			if err != nil {
+				t.Errorf("GetOrComputeCtx: %v", err)
+			}
+			results[i] = data
+		}(i)
+	}
+	close(gate)
+	wg.Wait()
+	if n := computes.Load(); n != 1 {
+		t.Fatalf("compute ran %d times; want 1", n)
+	}
+	for i, r := range results {
+		if string(r) != "computed once" {
+			t.Fatalf("worker %d got %q", i, r)
+		}
+	}
+}
+
+// TestTieredComputeErrorNotCached: a failed compute reaches the leader and
+// every coalesced follower, and leaves nothing behind, so the next call
+// computes again.
+func TestTieredComputeErrorNotCached(t *testing.T) {
+	tc := NewTiered(0, nil, nil)
+	boom := errors.New("compute failed")
+	var computes atomic.Int64
+	release := make(chan struct{})
+	failing := func() ([]byte, error) {
+		computes.Add(1)
+		<-release
+		return nil, boom
+	}
+	const callers = 5
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, _, errs[i] = tc.GetOrComputeCtx(context.Background(), key(1), failing)
+		}(i)
+	}
+	// Every caller misses memory before it joins the flight; the leader
+	// misses once more when it re-checks inside the flight.
+	for tc.Stats().Mem.Misses < callers+1 {
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+	if n := computes.Load(); n != 1 {
+		t.Fatalf("compute ran %d times; want 1", n)
+	}
+	for i, err := range errs {
+		if !errors.Is(err, boom) {
+			t.Fatalf("caller %d: err = %v; want the compute error", i, err)
+		}
+	}
+	data, tier, err := tc.GetOrComputeCtx(context.Background(), key(1), func() ([]byte, error) { return []byte("retry"), nil })
+	if err != nil || tier != TierNone || string(data) != "retry" {
+		t.Fatalf("retry = %q, tier %v, err %v", data, tier, err)
+	}
+}
+
+// TestTieredFollowerOutlivesLeaderCancel: when the leader's context is
+// cancelled mid-compute, a follower whose own context is live does not
+// inherit the cancellation: it computes as the new leader.
+func TestTieredFollowerOutlivesLeaderCancel(t *testing.T) {
+	tc := NewTiered(0, nil, nil)
+	leaderCtx, cancel := context.WithCancel(context.Background())
+	started := make(chan struct{})
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, _, err := tc.GetOrComputeCtx(leaderCtx, key(1), func() ([]byte, error) {
+			close(started)
+			<-leaderCtx.Done()
+			return nil, fmt.Errorf("compile aborted: %w", leaderCtx.Err())
+		})
+		leaderDone <- err
+	}()
+	<-started
+	followerDone := make(chan []byte, 1)
+	go func() {
+		data, _, err := tc.GetOrComputeCtx(context.Background(), key(1), func() ([]byte, error) {
+			return []byte("follower's own"), nil
+		})
+		if err != nil {
+			t.Errorf("follower: %v", err)
+		}
+		followerDone <- data
+	}()
+	// The follower has joined once it has missed memory (the leader
+	// accounts for two misses: its lookup and its in-flight re-check).
+	for tc.Stats().Mem.Misses < 3 {
+		runtime.Gosched()
+	}
+	cancel()
+	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v; want context.Canceled", err)
+	}
+	if data := <-followerDone; string(data) != "follower's own" {
+		t.Fatalf("follower got %q", data)
 	}
 }
 
