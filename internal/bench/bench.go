@@ -25,9 +25,12 @@ import (
 	"ursa/internal/dag"
 	"ursa/internal/frontend"
 	"ursa/internal/machine"
+	"ursa/internal/measure"
 	"ursa/internal/modsched"
+	"ursa/internal/order"
 	"ursa/internal/pipeline"
 	"ursa/internal/target"
+	"ursa/internal/transform"
 	"ursa/internal/workload"
 )
 
@@ -133,6 +136,88 @@ func benchTargetCompile(preset string, width, depth int) func(b *testing.B) {
 	}
 }
 
+// generateInput is the Generate workload's committed state: a kernel block
+// at unroll 4 with its hammocks, transitive closure, and the measurement of
+// every resource over its limit on the machine.
+type generateInput struct {
+	g        *dag.Graph
+	hammocks []*dag.Hammock
+	reach    *order.Relation
+	over     []core.Resource
+	results  []*measure.Result
+}
+
+// buildGenerateInput lowers the kernel at unroll 4, builds the block with
+// the given label, and measures it on the preset.
+func buildGenerateInput(kernel, label, preset string) (*generateInput, error) {
+	k := workload.KernelByName(kernel)
+	p := target.ByName(preset)
+	if k == nil || p == nil {
+		return nil, fmt.Errorf("bench: kernel %s or preset %s missing", kernel, preset)
+	}
+	u, err := k.Unit(4)
+	if err != nil {
+		return nil, err
+	}
+	for _, blk := range u.Func.Blocks {
+		if blk.Label != label {
+			continue
+		}
+		g, err := dag.Build(blk)
+		if err != nil {
+			return nil, err
+		}
+		in := &generateInput{g: g, hammocks: g.Hammocks(), reach: g.Reach()}
+		for _, r := range core.Resources(g, p.Config) {
+			if res := measure.Measure(r.Build(g)); res.Width > r.Limit {
+				in.over = append(in.over, r)
+				in.results = append(in.results, res)
+			}
+		}
+		return in, nil
+	}
+	return nil, fmt.Errorf("bench: %s has no block %s", kernel, label)
+}
+
+// generate runs one candidate-generation round: every generator the
+// reduction loop applies to a resource of that kind, over every excess set
+// of every over-limit resource. It returns the number of candidates.
+func (in *generateInput) generate() int {
+	n := 0
+	for i, r := range in.over {
+		res := in.results[i]
+		for _, set := range measure.FindExcess(res, in.hammocks, r.Limit) {
+			if r.IsRegister {
+				n += len(transform.RegSeqCandidates(in.g, in.reach, res, set))
+				n += len(transform.SpillCandidates(in.g, res, set))
+			} else {
+				n += len(transform.FUCandidates(in.g, in.reach, res, set))
+			}
+		}
+	}
+	return n
+}
+
+// benchGenerate times one candidate-generation round on a kernel block
+// large enough for the generators' pairwise reachability queries to show
+// (fir8's unrolled loop body has 137 nodes); the committed state is built
+// outside the timer.
+func benchGenerate(kernel, label, preset string) func(b *testing.B) {
+	return func(b *testing.B) {
+		in, err := buildGenerateInput(kernel, label, preset)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if in.generate() == 0 {
+				b.Fatal("no candidates generated")
+			}
+		}
+	}
+}
+
 // Suite returns the reduction-loop benchmarks in canonical order.
 func Suite() []Named {
 	pg, pm := pickBestGraph()
@@ -144,6 +229,7 @@ func Suite() []Named {
 		{"ReduceLarge/full", benchReduce(rg, rm, core.Options{DisableIncremental: true, Workers: 1})},
 		{"ReduceLarge/incremental", benchReduce(rg, rm, core.Options{Workers: 1})},
 		{"ReduceLarge/incremental-parallel", benchReduce(rg, rm, core.Options{})},
+		{"Generate/fir8-b3-hetero-big", benchGenerate("fir8", "b3", "hetero-big")},
 		{"Loop/pipeline-saxpy", benchLoopPipeline("saxpy", machine.VLIW(4, 12))},
 		{"Loop/pipeline-stencil3", benchLoopPipeline("stencil3", machine.VLIW(4, 12))},
 		{"Target/clustered-clus2x2x4", benchTargetCompile("clus2x2x4", 8, 4)},

@@ -29,6 +29,16 @@ func BenchmarkReduceLarge(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerate times one candidate-generation round on a large kernel
+// block.
+func BenchmarkGenerate(b *testing.B) {
+	for _, n := range Suite() {
+		if strings.HasPrefix(n.Name, "Generate/") {
+			b.Run(strings.TrimPrefix(n.Name, "Generate/"), n.Bench)
+		}
+	}
+}
+
 // BenchmarkLoop times the modulo-scheduling transform on the loop-suite
 // kernels (CI's loop-smoke job runs it with -benchtime=1x).
 func BenchmarkLoop(b *testing.B) {
@@ -89,6 +99,28 @@ func TestScoreCandidatesFindsWork(t *testing.T) {
 		t.Fatal("PickBest workload produced no candidates")
 	}
 	t.Logf("PickBest workload scores %d candidates per round", n)
+}
+
+// TestGenerateFindsWork ensures the Generate workload has over-limit
+// resources on both sides — register and functional-unit generators — so
+// the row times both kinds of reachability query.
+func TestGenerateFindsWork(t *testing.T) {
+	in, err := buildGenerateInput("fir8", "b3", "hetero-big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var regs, fus int
+	for _, r := range in.over {
+		if r.IsRegister {
+			regs++
+		} else {
+			fus++
+		}
+	}
+	if regs == 0 || fus == 0 {
+		t.Fatalf("%d register and %d FU resources over their limits; want both", regs, fus)
+	}
+	t.Logf("Generate workload: %d nodes, %d candidates per round", in.g.NumNodes(), in.generate())
 }
 
 // TestWriteJSON round-trips the BENCH_core.json schema.

@@ -69,9 +69,9 @@ func checkDelta(rep *Report, c *Case) {
 			for _, set := range measure.FindExcess(res, hammocks, limit) {
 				var cands []*transform.Candidate
 				if r.IsRegister {
-					cands = transform.RegSeqCandidates(g, res, set)
+					cands = transform.RegSeqCandidates(g, baseReach, res, set)
 				} else {
-					cands = transform.FUCandidates(g, res, set)
+					cands = transform.FUCandidates(g, baseReach, res, set)
 				}
 				for _, cand := range cands {
 					if applied >= deltaCandidateLimit {

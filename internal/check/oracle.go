@@ -340,6 +340,7 @@ func checkMonotonicity(rep *Report, c *Case) {
 	}
 	m := c.Mach.Config()
 	hammocks := g.Hammocks()
+	reach := g.Reach()
 	applied := 0
 	for _, r := range core.Resources(g, m) {
 		ru := r.Build(g)
@@ -353,10 +354,10 @@ func checkMonotonicity(rep *Report, c *Case) {
 			for _, set := range sets {
 				var cands []*transform.Candidate
 				if r.IsRegister {
-					cands = append(cands, transform.RegSeqCandidates(g, res, set)...)
+					cands = append(cands, transform.RegSeqCandidates(g, reach, res, set)...)
 					cands = append(cands, transform.SpillCandidates(g, res, set)...)
 				} else {
-					cands = append(cands, transform.FUCandidates(g, res, set)...)
+					cands = append(cands, transform.FUCandidates(g, reach, res, set)...)
 				}
 				for _, cand := range cands {
 					if applied >= monoCandidateLimit {

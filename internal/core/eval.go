@@ -27,13 +27,15 @@ type evalOutcome struct {
 	crit   int
 }
 
-// iterState is the per-iteration committed state every candidate is scored
-// against: the committed graph's hammocks and nest levels plus its
-// measurements. It is derived once per committed generation (memoized in
-// the evaluator), shared by the main loop and by speculating workers.
+// iterState is the per-iteration committed state every candidate is
+// generated from and scored against: the committed graph's hammocks, nest
+// levels and transitive closure plus its measurements. It is derived once
+// per committed generation (memoized in the evaluator), shared by the main
+// loop and by speculating workers, and read-only to both.
 type iterState struct {
 	hammocks []*dag.Hammock
 	levels   []int
+	reach    *order.Relation
 	results  map[string]*measure.Result
 	excess   int
 }
@@ -47,12 +49,12 @@ type iterState struct {
 // Two evaluation paths exist:
 //
 //   - The incremental path (the default) applies the candidate to the
-//     worker's scratch graph through a reusable transform.UndoLog.
-//     Sequencing-only candidates then update the scratch copy of the
-//     closure with order.Relation.AddClosureEdge, rederive each resource's
-//     reuse pairs into pooled relation storage
-//     (reuse.Reuse.UpdateClosureInto), and warm-start the matching from the
-//     committed measurement with a pooled matcher
+//     worker's scratch graph through a reusable transform.UndoLog, checking
+//     and extending the worker's scratch copy of the closure per added edge
+//     (order.Relation.AddClosureEdge). Sequencing-only candidates then
+//     rederive each resource's reuse pairs into pooled relation storage
+//     (reuse.Reuse.UpdateClosureInto), and warm-start the matching from
+//     the committed measurement with a pooled matcher
 //     (measure.ChainsDeltaWidth). Spill payloads — which add nodes and
 //     rewrite operands, so no cheap delta exists — are measured from
 //     scratch through the cache and reverted via the same undo log. In
@@ -181,6 +183,12 @@ func (e *evaluator) state() *iterState {
 		st := &iterState{results: make(map[string]*measure.Result, len(e.resources))}
 		st.hammocks = e.g.Hammocks()
 		st.levels = e.g.NestLevels(st.hammocks)
+		st.reach = e.reach
+		if st.reach == nil {
+			// The reference path maintains no closure across commits;
+			// build this generation's once for candidate generation.
+			st.reach = e.g.Reach()
+		}
 		for _, r := range e.resources {
 			res := e.opts.Cache.Measure(e.g, r.Name, r.Build)
 			st.results[r.Name] = res
@@ -358,25 +366,24 @@ func (e *evaluator) evalAll(cands []scored) ([]evalOutcome, error) {
 }
 
 // evalIncremental scores a candidate on the worker's scratch graph through
-// the reusable undo log: apply, measure, revert. Sequencing-only candidates
-// are measured by pooled closure update plus warm-started matching; spill
+// the reusable undo log: apply, measure, revert. The scratch closure is
+// seeded from the committed one before the apply, whose cycle checks read
+// it and whose added edges extend it. Sequencing-only candidates are then
+// measured by pooled closure update plus warm-started matching; spill
 // payloads (and register resources whose kill selection shifted) fall back
 // to a full from-scratch measurement through the cache.
 func (e *evaluator) evalIncremental(sc *evalScratch, st *iterState, s scored) evalOutcome {
-	if err := s.cand.ApplyLog(sc.g, &sc.log); err != nil {
+	if sc.reach == nil || sc.reach.Size() != st.reach.Size() {
+		sc.reach = order.NewRelation(st.reach.Size())
+	}
+	sc.reach.CopyFrom(st.reach)
+	if err := s.cand.ApplyLog(sc.g, &sc.log, sc.reach); err != nil {
 		return evalOutcome{s: s}
 	}
 	defer sc.log.Revert()
 
 	excess := 0
 	if s.cand.SeqOnly() {
-		if sc.reach == nil || sc.reach.Size() != e.reach.Size() {
-			sc.reach = order.NewRelation(e.reach.Size())
-		}
-		sc.reach.CopyFrom(e.reach)
-		for _, ed := range sc.log.Added() {
-			sc.reach.AddClosureEdge(ed[0], ed[1])
-		}
 		depths := sc.g.DepthsInto(&sc.topo)
 		for ri := range e.resources {
 			r := &e.resources[ri]

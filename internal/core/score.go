@@ -36,7 +36,7 @@ func ScoreCandidates(g *dag.Graph, opts Options) (int, error) {
 	ev := newEvaluator(g, resources, lat, &opts)
 	defer ev.close()
 	st := ev.state()
-	cands := collectCandidates(g, resources, st.results, opts, st.hammocks)
+	cands := collectCandidates(g, resources, st, opts)
 	if len(cands) == 0 {
 		return 0, nil
 	}

@@ -467,7 +467,7 @@ func runOnce(g *dag.Graph, opts Options, style scoreStyle) (*Report, error) {
 			// generation state), shared by excess-set location, the delta
 			// measurements' priority levels, and speculating workers.
 			st := ev.state()
-			cands := collectCandidates(g, phase, st.results, opts, st.hammocks)
+			cands := collectCandidates(g, phase, st, opts)
 			if len(cands) == 0 {
 				break
 			}
@@ -540,20 +540,21 @@ type scored struct {
 
 // collectCandidates generates reduction candidates for every over-limit
 // resource in the group, using the innermost and outermost excessive sets.
-// hammocks is the committed graph's hammock list, computed once per
-// iteration by the caller. The innermost and outermost sets (and different
+// st is the committed graph's iteration state: its measurements, its
+// hammock list and its transitive closure, which answers every independence
+// test the generators make. The innermost and outermost sets (and different
 // generators) routinely emit candidates with identical effect; those are
 // kept in place — the selection ranks the exact historical sequence — but
 // the evaluator canonicalizes them by transform.Candidate.Key and measures
 // each distinct effect once.
-func collectCandidates(g *dag.Graph, group []Resource, results map[string]*measure.Result, opts Options, hammocks []*dag.Hammock) []scored {
+func collectCandidates(g *dag.Graph, group []Resource, st *iterState, opts Options) []scored {
 	var out []scored
 	for _, r := range group {
-		res := results[r.Name]
+		res := st.results[r.Name]
 		if res == nil || res.Width <= r.Limit {
 			continue
 		}
-		sets := measure.FindExcess(res, hammocks, r.Limit)
+		sets := measure.FindExcess(res, st.hammocks, r.Limit)
 		if len(sets) == 0 {
 			continue
 		}
@@ -564,7 +565,7 @@ func collectCandidates(g *dag.Graph, group []Resource, results map[string]*measu
 		for _, set := range targets {
 			if r.IsRegister {
 				if !opts.DisableSequencing {
-					for _, c := range transform.RegSeqCandidates(g, res, set) {
+					for _, c := range transform.RegSeqCandidates(g, st.reach, res, set) {
 						out = append(out, scored{c, r.Name})
 					}
 				}
@@ -574,7 +575,7 @@ func collectCandidates(g *dag.Graph, group []Resource, results map[string]*measu
 					}
 				}
 			} else {
-				for _, c := range transform.FUCandidates(g, res, set) {
+				for _, c := range transform.FUCandidates(g, st.reach, res, set) {
 					out = append(out, scored{c, r.Name})
 				}
 			}

@@ -44,9 +44,11 @@ func (g *Graph) TopoOrder() []int {
 	return out
 }
 
-// Reach returns the transitive closure of the graph's edges: Reach.Has(a,b)
-// iff b is a proper descendant of a (or a==b is excluded; the relation is
-// strict).
+// Reach returns the transitive closure of the graph's edges: Reach().Has(a, b)
+// iff b is a proper descendant of a. The relation is strict, so Has(a, a) is
+// always false, whereas HasPath(a, a) is true; callers that swap one for the
+// other must test a == b themselves. The result is a snapshot and does not
+// follow later mutations of the graph.
 func (g *Graph) Reach() *order.Relation {
 	return g.Relation().TransitiveClosure()
 }

@@ -121,9 +121,12 @@ func Build(b *ir.Block, extraLiveOut ...ir.VReg) (*Graph, error) {
 // edges. Used only during construction, before closure caches exist.
 func reachesVia(g *Graph, a, b int) bool { return g.HasPath(a, b) }
 
-// HasPath reports whether b is reachable from a (a == b counts as
-// reachable) by DFS over the current edges. Transformations use this to
-// avoid creating cycles; unlike Reach it reflects mutations immediately.
+// HasPath reports whether b is reachable from a by DFS over the current
+// edges. It is reflexive: a == b counts as reachable, unlike in Reach. Each
+// call allocates and walks the graph, so repeated queries against one graph
+// state belong on a closure from Reach; HasPath serves the one-off checks of
+// a graph being mutated (building it, committing a candidate, wiring a
+// spill).
 func (g *Graph) HasPath(a, b int) bool {
 	if a == b {
 		return true

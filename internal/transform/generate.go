@@ -18,7 +18,11 @@ import (
 // handful of single-edge variants are also produced so the driver's scoring
 // can pick a less aggressive reduction when that preserves the critical
 // path better.
-func FUCandidates(g *dag.Graph, res *measure.Result, set *measure.ExcessSet) []*Candidate {
+//
+// reach is g's transitive closure (g.Reach()); it answers every
+// independence test. It is strict, so the generators test a == b
+// themselves.
+func FUCandidates(g *dag.Graph, reach *order.Relation, res *measure.Result, set *measure.ExcessSet) []*Candidate {
 	items := res.R.Items
 	depth := g.Depths()
 	type end struct{ chain, node int }
@@ -48,7 +52,7 @@ func FUCandidates(g *dag.Graph, res *measure.Result, set *measure.ExcessSet) []*
 	})
 
 	feasible := func(t, h end) bool {
-		return t.chain != h.chain && t.node != h.node && !g.HasPath(h.node, t.node)
+		return t.chain != h.chain && t.node != h.node && !reach.Has(h.node, t.node)
 	}
 
 	x := set.Excess()
@@ -158,7 +162,7 @@ func FUCandidates(g *dag.Graph, res *measure.Result, set *measure.ExcessSet) []*
 				}
 				for y := 0; y < len(cj); y++ {
 					b := items[cj[y]].Node
-					if b == g.Root || a == b || g.HasPath(a, b) || g.HasPath(b, a) {
+					if b == g.Root || a == b || reach.Comparable(a, b) {
 						continue
 					}
 					cands = append(cands, &Candidate{
@@ -277,8 +281,9 @@ func releaseNodes(g *dag.Graph, res *measure.Result, chains []order.Chain) []int
 // so delaying them costs the least) and add sequence edges from set S — the
 // release nodes that free SD1's registers (the kills of SD1's chain tails)
 // — to set T, the producer nodes of SD2's chain heads. Figure 3(b) is the
-// shape S={I} (the kill of t1 and t2), T={G,H}.
-func RegSeqCandidates(g *dag.Graph, res *measure.Result, set *measure.ExcessSet) []*Candidate {
+// shape S={I} (the kill of t1 and t2), T={G,H}. reach is g's transitive
+// closure, as for FUCandidates.
+func RegSeqCandidates(g *dag.Graph, reach *order.Relation, res *measure.Result, set *measure.ExcessSet) []*Candidate {
 	depth := g.Depths()
 	x := set.Excess()
 	if x < 1 || len(set.Chains) < 2 {
@@ -345,7 +350,7 @@ func RegSeqCandidates(g *dag.Graph, res *measure.Result, set *measure.ExcessSet)
 			var es [][2]int
 			for _, t := range tNodes {
 				for _, s := range ss {
-					if s != t && !g.HasPath(t, s) && !g.HasPath(s, t) {
+					if s != t && !reach.Comparable(s, t) {
 						es = append(es, [2]int{s, t})
 					}
 				}
@@ -406,7 +411,7 @@ func RegSeqCandidates(g *dag.Graph, res *measure.Result, set *measure.ExcessSet)
 			kill = res.R.Kill[h]
 		}
 		if prev >= 0 && node != g.Root && prev != node &&
-			!g.HasPath(node, prev) {
+			!reach.Has(node, prev) {
 			serial = append(serial, [2]int{prev, node})
 		}
 		if kill >= 0 && kill != g.Root {
@@ -436,7 +441,7 @@ func RegSeqCandidates(g *dag.Graph, res *measure.Result, set *measure.ExcessSet)
 				}
 				for y := 0; y < len(cj); y++ {
 					b := res.R.Items[cj[y]].Node
-					if b == g.Root || b == kill || g.HasPath(b, kill) || g.HasPath(kill, b) {
+					if b == g.Root || b == kill || reach.Comparable(b, kill) {
 						continue
 					}
 					cands = append(cands, &Candidate{

@@ -18,6 +18,7 @@ import (
 
 	"ursa/internal/dag"
 	"ursa/internal/ir"
+	"ursa/internal/order"
 )
 
 // Kind identifies a transformation family.
@@ -143,13 +144,6 @@ type argPatch struct {
 	old  ir.VReg
 }
 
-// Added returns the sequence edges the application actually added (edges
-// already present were skipped). The slice aliases the log and is valid
-// until the next ApplyLog. For spill candidates it also contains the
-// store/load wiring, so incremental closure updates must not be derived
-// from it — the evaluator re-measures spilled graphs from scratch.
-func (u *UndoLog) Added() [][2]int { return u.added }
-
 // Revert undoes the recorded application: operand rewrites are restored,
 // removed edges re-added with their original kinds, added edges removed,
 // and any nodes and registers the application created are truncated away.
@@ -192,7 +186,15 @@ func (u *UndoLog) reset(g *dag.Graph) {
 // log. On error the partial application is already reverted and the graph
 // is back in its prior state. On success the caller scores the transformed
 // graph and then calls log.Revert.
-func (c *Candidate) ApplyLog(g *dag.Graph, log *UndoLog) error {
+//
+// reach must hold g's transitive closure on entry. The cycle check of each
+// sequencing edge reads it, and each edge actually added extends it in
+// place, so after a successful sequencing-only application reach is the
+// closure of the transformed graph. The graph's revert does not touch
+// reach: the caller reseeds it before the next application, also after an
+// error, which may leave it partially extended. A spill payload's own
+// wiring still runs DFS reachability and leaves reach stale.
+func (c *Candidate) ApplyLog(g *dag.Graph, log *UndoLog, reach *order.Relation) error {
 	if c.CopySpill != nil {
 		// Copy-spill rewrites an instruction's opcode in place, which the
 		// undo log cannot restore; clustered reductions run the full-clone
@@ -204,11 +206,13 @@ func (c *Candidate) ApplyLog(g *dag.Graph, log *UndoLog) error {
 		if g.HasEdge(e[0], e[1]) {
 			continue
 		}
-		if g.HasPath(e[1], e[0]) {
+		// reach is strict: a self-edge is the one cycle it cannot see.
+		if e[0] == e[1] || reach.Has(e[1], e[0]) {
 			log.Revert()
 			return fmt.Errorf("transform %s: edge %d->%d would create a cycle", c.Kind, e[0], e[1])
 		}
 		g.AddEdge(e[0], e[1], dag.EdgeSeq)
+		reach.AddClosureEdge(e[0], e[1])
 		log.added = append(log.added, e)
 	}
 	if c.Spill != nil {

@@ -227,7 +227,7 @@ func TestFUCandidatesReducePaperExample(t *testing.T) {
 	}
 	// The whole-graph excessive set (largest hammock) drives the transform.
 	set := sets[len(sets)-1]
-	cands := FUCandidates(g, res, set)
+	cands := FUCandidates(g, g.Reach(), res, set)
 	if len(cands) == 0 {
 		t.Fatal("no FU candidates generated")
 	}
@@ -254,7 +254,7 @@ func TestRegSeqCandidatesReducePaperExample(t *testing.T) {
 		t.Fatal("no excessive set")
 	}
 	set := sets[len(sets)-1]
-	cands := RegSeqCandidates(g, res, set)
+	cands := RegSeqCandidates(g, g.Reach(), res, set)
 	cands = append(cands, SpillCandidates(g, res, set)...)
 	if len(cands) == 0 {
 		t.Fatal("no register candidates generated")
@@ -348,6 +348,47 @@ func TestApplyUndoRejectsSpill(t *testing.T) {
 	g := paperGraph(t)
 	if _, _, err := cand.ApplyUndo(g); err == nil {
 		t.Fatal("spill candidate accepted by ApplyUndo")
+	}
+}
+
+// TestApplyLogExtendsClosure: ApplyLog's cycle checks read the caller's
+// closure and its added edges extend it, so after a sequencing application
+// the closure equals the transformed graph's, and a refused candidate —
+// including a self-edge, which the strict closure cannot see as a cycle —
+// leaves the graph as it was.
+func TestApplyLogExtendsClosure(t *testing.T) {
+	g := paperGraph(t)
+	b, c := node(t, g, "w"), node(t, g, "x")
+	var log UndoLog
+
+	reach := g.Reach()
+	before := g.Fingerprint()
+	cand := &Candidate{Kind: FUSequence, Edges: [][2]int{{b, c}}, Note: "seq"}
+	if err := cand.ApplyLog(g, &log, reach); err != nil {
+		t.Fatalf("ApplyLog: %v", err)
+	}
+	want := g.Reach()
+	for x := 0; x < want.Size(); x++ {
+		for y := 0; y < want.Size(); y++ {
+			if reach.Has(x, y) != want.Has(x, y) {
+				t.Fatalf("extended closure disagrees at (%d,%d): got %v want %v",
+					x, y, reach.Has(x, y), want.Has(x, y))
+			}
+		}
+	}
+	log.Revert()
+	if g.Fingerprint() != before {
+		t.Fatal("revert did not restore the graph")
+	}
+
+	for _, edges := range [][][2]int{{{b, c}, {c, b}}, {{b, b}}} {
+		cand := &Candidate{Kind: FUSequence, Edges: edges, Note: "cycle"}
+		if err := cand.ApplyLog(g, &log, g.Reach()); err == nil {
+			t.Fatalf("cycle %v accepted", edges)
+		}
+		if g.Fingerprint() != before {
+			t.Fatalf("refused %v left edges behind", edges)
+		}
 	}
 }
 
