@@ -2,7 +2,7 @@ package core
 
 import (
 	"math/rand"
-	"reflect"
+	"runtime"
 	"testing"
 
 	"ursa/internal/dag"
@@ -151,50 +151,52 @@ func TestPlateauMovesAreSpillsAndBounded(t *testing.T) {
 }
 
 // TestStyleDeterminismAcrossWorkers: for every tie-break style, the full
-// applied-transformation sequence is identical whether candidates are
-// evaluated inline, across 4 or 8 workers, or by the pre-engine
-// full-remeasure path — the engine changes cost only, never choice.
+// applied-transformation sequence, final widths and fit verdicts are
+// identical whether candidates are evaluated inline, across 4 or 8
+// workers, or by the pre-engine full-remeasure path — the engine changes
+// cost only, never choice. GOMAXPROCS is forced above 1 so the -j 4/8
+// variants really fan out; run under -race this also sweeps the worker
+// scratch arenas, the shared iteration state and the measurement cache's
+// flight coalescing for data races.
 func TestStyleDeterminismAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	machines := append(plateauMachines(), machine.VLIW(2, 3), machine.VLIW(1, 4))
-	for trial := 0; trial < 6; trial++ {
-		f := randomBlock(rng, 10+rng.Intn(16))
-		for _, m := range machines {
-			for _, style := range []scoreStyle{styleDefault, styleAggressive, styleSpillFirst} {
-				variants := []Options{
-					{Machine: m, Workers: 1},
-					{Machine: m, Workers: 4},
-					{Machine: m, Workers: 8},
-					{Machine: m, Workers: 1, DisableIncremental: true},
-				}
-				var ref *Report
-				for vi, opts := range variants {
-					// Private Func per variant (see above): without this,
-					// spill-reload register names drift across variants and
-					// mask the real comparison.
-					cl := f.Clone()
-					g, err := dag.Build(cl.Blocks[0])
-					if err != nil {
-						t.Fatal(err)
-					}
-					opts.Cache = measure.NewCache()
-					rep, err := runOnce(g, opts, style)
-					if err != nil {
-						t.Fatalf("trial %d %s style %d variant %d: %v", trial, m.Name, style, vi, err)
-					}
-					if vi == 0 {
-						ref = rep
-						continue
-					}
-					if !reflect.DeepEqual(rep.Applied, ref.Applied) {
-						t.Errorf("trial %d %s style %d variant %d: applied sequence diverged\n got %+v\nwant %+v",
-							trial, m.Name, style, vi, rep.Applied, ref.Applied)
-					}
-					if rep.Iterations != ref.Iterations || rep.SpillsInserted != ref.SpillsInserted ||
-						!reflect.DeepEqual(rep.FinalWidths, ref.FinalWidths) {
-						t.Errorf("trial %d %s style %d variant %d: report diverged (%d iters / %d spills / %v, want %d / %d / %v)",
-							trial, m.Name, style, vi, rep.Iterations, rep.SpillsInserted, rep.FinalWidths,
-							ref.Iterations, ref.SpillsInserted, ref.FinalWidths)
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+
+	deep := 12
+	if testing.Short() {
+		deep = 4
+	}
+	sweeps := []struct {
+		seed             int64
+		trials           int
+		minNodes, spread int
+		machines         []*machine.Config
+		rotate           bool // one machine per trial instead of all of them
+	}{
+		{3, 6, 10, 16, append(plateauMachines(), machine.VLIW(2, 3), machine.VLIW(1, 4)), false},
+		{17, deep, 14, 12, []*machine.Config{machine.VLIW(1, 3), machine.VLIW(2, 3), machine.VLIW(1, 4)}, true},
+	}
+	for _, sw := range sweeps {
+		rng := rand.New(rand.NewSource(sw.seed))
+		for trial := 0; trial < sw.trials; trial++ {
+			f := randomBlock(rng, sw.minNodes+rng.Intn(sw.spread))
+			machines := sw.machines
+			if sw.rotate {
+				machines = machines[trial%len(machines) : trial%len(machines)+1]
+			}
+			for _, m := range machines {
+				for _, style := range []scoreStyle{styleDefault, styleAggressive, styleSpillFirst} {
+					ref := runVariant(t, f, Options{Machine: m, Workers: 1}, style)
+					for _, opts := range []Options{
+						{Machine: m, Workers: 4},
+						{Machine: m, Workers: 8},
+						{Machine: m, Workers: 1, DisableIncremental: true},
+					} {
+						rep := runVariant(t, f, opts, style)
+						if diff := reportsEqual(ref, rep); diff != "" {
+							t.Errorf("seed %d trial %d %s style %d -j %d incremental=%v: %s",
+								sw.seed, trial, m.Name, style, opts.Workers, !opts.DisableIncremental, diff)
+						}
 					}
 				}
 			}

@@ -145,7 +145,6 @@ func driveReduction(t *testing.T, name string, g *dag.Graph, opts Options, style
 	resources := Resources(g, m)
 	lat := func(n *dag.Node) int { return m.LatencyOf(n.Instr.Op) }
 	ev := newEvaluator(g, resources, lat, &opts)
-	defer ev.close()
 
 	var applied []Applied
 	plateau := 4

@@ -34,7 +34,6 @@ func ScoreCandidates(g *dag.Graph, opts Options) (int, error) {
 	lat := func(n *dag.Node) int { return m.LatencyOf(n.Instr.Op) }
 
 	ev := newEvaluator(g, resources, lat, &opts)
-	defer ev.close()
 	st := ev.state()
 	cands := collectCandidates(g, resources, st, opts)
 	if len(cands) == 0 {

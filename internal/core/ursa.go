@@ -13,6 +13,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"ursa/internal/assign"
@@ -374,18 +375,23 @@ func Run(g *dag.Graph, opts Options) (*Report, error) {
 		}
 	}
 	g.ReplaceWith(bestG)
-	bestRep.ScheduleClean = bestCost&(1<<12-1) == 0
+	bestRep.ScheduleClean = bestCost != emitFailed && bestCost&(1<<12-1) == 0
 	return bestRep, nil
 }
+
+// emitFailed is emittedCost's score for an unemittable outcome: worse than
+// any emitted schedule, and never clean.
+const emitFailed = math.MaxInt
 
 // emittedCost scores an allocation outcome by its overall effect: primarily
 // the length of the schedule the assignment phase would emit, then the
 // number of assignment-phase spill stores (memory traffic), encoded
-// lexicographically.
+// lexicographically. An outcome the assignment phase cannot emit at all
+// scores emitFailed.
 func emittedCost(g *dag.Graph, m *machine.Config) int {
 	prog, _, err := assign.Emit(g, m, sched.Options{})
 	if err != nil {
-		return 1 << 30
+		return emitFailed
 	}
 	return len(prog.Words)<<12 | min(prog.Spills, 1<<12-1)
 }
@@ -430,10 +436,8 @@ func runOnce(g *dag.Graph, opts Options, style scoreStyle) (*Report, error) {
 	}
 
 	// One evaluator for the whole run: its scratch graphs, closures, and
-	// measurement buffers persist across reduction iterations, and between
-	// iterations its idle workers pre-score surviving candidates.
+	// measurement buffers persist across reduction iterations.
 	ev := newEvaluator(g, resources, lat, &opts)
-	defer ev.close()
 
 	st := ev.state()
 	results, excess := st.results, st.excess
@@ -464,8 +468,8 @@ func runOnce(g *dag.Graph, opts Options, style scoreStyle) (*Report, error) {
 		plateau := 4
 		for rep.Iterations < maxIters && excess > 0 {
 			// One Hammocks pass per iteration (memoized in the evaluator's
-			// generation state), shared by excess-set location, the delta
-			// measurements' priority levels, and speculating workers.
+			// generation state), shared by excess-set location and the delta
+			// measurements' priority levels.
 			st := ev.state()
 			cands := collectCandidates(g, phase, st, opts)
 			if len(cands) == 0 {
@@ -491,10 +495,6 @@ func runOnce(g *dag.Graph, opts Options, style scoreStyle) (*Report, error) {
 				return nil, fmt.Errorf("core: committing %s: %v", best.cand, err)
 			}
 			ev.commit(best.cand)
-			// While this thread remeasures the committed graph and builds
-			// the next candidate list, idle workers pre-score the surviving
-			// candidates against it.
-			ev.speculate(cands, best.cand)
 			rep.Iterations++
 			if best.cand.Kind == transform.Spill || best.cand.Kind == transform.CopySpill {
 				rep.SpillsInserted++

@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"ursa/internal/assign"
 	"ursa/internal/dag"
 	"ursa/internal/ir"
 	"ursa/internal/machine"
+	"ursa/internal/sched"
 )
 
 const paperSrc = `
@@ -169,6 +171,37 @@ func TestRunRejectsBadMachine(t *testing.T) {
 	bad2.Regs[ir.ClassInt] = 0
 	if _, err := Run(g, Options{Machine: bad2}); err == nil {
 		t.Error("0-register machine accepted")
+	}
+}
+
+// TestRunUnemittableIsNotClean: on one register, no option for a block
+// that holds two loaded values live at once can be emitted — assignment
+// cannot spill when every register is pinned — so Run must report the
+// schedule as neither fitting nor clean.
+func TestRunUnemittableIsNotClean(t *testing.T) {
+	f := ir.MustParse(`
+func twoloads {
+entry:
+	a = load A[0]
+	b = load A[1]
+	s = add a, b
+	store O[0], s
+}
+`)
+	g, err := dag.Build(f.Blocks[0])
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	m := machine.VLIW(1, 1)
+	if _, _, err := assign.Emit(g.Clone(), m, sched.Options{}); err == nil {
+		t.Fatal("Emit succeeded on one register; the block no longer exercises the failure")
+	}
+	rep, err := Run(g, Options{Machine: m})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.Fits || rep.ScheduleClean {
+		t.Errorf("unemittable block reported Fits=%v ScheduleClean=%v, want both false", rep.Fits, rep.ScheduleClean)
 	}
 }
 

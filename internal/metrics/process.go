@@ -38,19 +38,3 @@ func AddEvalBusyNanos(n uint64) { evalBusyNanos.Add(n) }
 
 // EvalBusyNanos returns the process-wide evaluator worker busy time.
 func EvalBusyNanos() uint64 { return evalBusyNanos.Load() }
-
-var specEvals, specHits atomic.Uint64
-
-// AddSpeculativeEvals records n candidate evaluations performed
-// speculatively on idle workers between reduction iterations.
-func AddSpeculativeEvals(n uint64) { specEvals.Add(n) }
-
-// SpeculativeEvals returns the process-wide speculative evaluation total.
-func SpeculativeEvals() uint64 { return specEvals.Load() }
-
-// AddSpeculativeHits records n speculative results that the next iteration
-// actually consumed (the rest were invalidated or never requested).
-func AddSpeculativeHits(n uint64) { specHits.Add(n) }
-
-// SpeculativeHits returns the process-wide speculative hit total.
-func SpeculativeHits() uint64 { return specHits.Load() }
