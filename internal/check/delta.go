@@ -13,17 +13,23 @@ import (
 
 // deltaCandidateLimit bounds how many sequencing candidates the delta
 // oracle replays per case (each replay measures every resource twice:
-// incrementally and from scratch).
+// incrementally and from scratch), and separately how many copy-spill
+// candidates it replays on clustered cases.
 const deltaCandidateLimit = 16
 
 // checkDelta holds the incremental remeasurement engine to account against
-// the from-scratch reference it replaces. Three layers are cross-checked on
-// every case:
+// the from-scratch reference it replaces, on every target family. Four
+// layers are cross-checked on every case:
 //
-//  1. Closure maintenance: after applying a sequencing candidate's edges,
-//     the closure maintained in place by order.Relation.AddClosureEdge must
-//     equal the closure recomputed from the transformed graph.
-//  2. Measurement: for every resource, the warm-started delta measurement
+//  1. Tentative application: each replayed candidate (sequencing, plus
+//     copy-spills on clustered cases) goes through Candidate.ApplyLog as
+//     on an engine worker, must transform the graph exactly as Apply does
+//     on a clone, and UndoLog.Revert must restore the graph's fingerprint,
+//     node count and register count.
+//  2. Closure maintenance: after a sequencing candidate, the closure
+//     ApplyLog extended in place (order.Relation.AddClosureEdge) must equal
+//     the closure recomputed from the transformed graph.
+//  3. Measurement: for every resource, the warm-started delta measurement
 //     (reuse.Reuse.UpdateClosure + measure.ChainsDelta, seeded with the
 //     committed matching and the pre-candidate hammock levels, exactly as
 //     the engine runs it) must report the same width and chain count as a
@@ -31,20 +37,11 @@ const deltaCandidateLimit = 16
 //     decomposition must be a valid chain partition of the updated order.
 //     When UpdateClosure declines (register kills shifted), the fallback
 //     must be justified: the recomputed kill vector must actually differ.
-//  3. Selection: a full core.Run with the engine enabled must emit code
+//  4. Selection: a full core.Run with the engine enabled must emit code
 //     byte-identical to a run with Options.DisableIncremental (the
-//     pre-engine reference path), at several worker counts.
-//
-// ApplyUndo's undo is also verified to restore the graph fingerprint, since
-// the engine reuses one scratch graph across all of a worker's candidates.
+//     reference path), at several worker counts.
 func checkDelta(rep *Report, c *Case) {
 	m := c.Mach.Config()
-	if m.Clusters > 1 || m.BufferDepth > 0 {
-		// core.Run forces DisableIncremental on the extended value-holding
-		// targets (copy-spills rewrite opcodes the undo log cannot restore),
-		// so there is no incremental engine to hold to account here.
-		return
-	}
 	g := buildGraph(rep, OracleDelta, c)
 	if g == nil {
 		return
@@ -58,7 +55,8 @@ func checkDelta(rep *Report, c *Case) {
 		base[r.Name] = measure.Measure(r.Build(g))
 	}
 
-	applied := 0
+	var log transform.UndoLog
+	seqs, copySpills := 0, 0
 	for _, r := range resources {
 		res := base[r.Name]
 		limits := []int{r.Limit}
@@ -73,24 +71,34 @@ func checkDelta(rep *Report, c *Case) {
 				} else {
 					cands = transform.FUCandidates(g, baseReach, res, set)
 				}
+				if m.Clusters > 1 {
+					cands = append(cands, transform.CopySpillCandidates(g, res, set)...)
+				}
 				for _, cand := range cands {
-					if applied >= deltaCandidateLimit {
-						break
-					}
-					if !cand.SeqOnly() {
+					seq := cand.SeqOnly()
+					if seq && seqs >= deltaCandidateLimit || !seq && copySpills >= deltaCandidateLimit {
 						continue
 					}
-					before := g.Fingerprint()
-					added, undo, err := cand.ApplyUndo(g)
-					if err != nil {
+					before, nodes, regs := g.Fingerprint(), g.NumNodes(), g.Func.NumRegs()
+					ref := g.Clone()
+					ref.Func = g.Func.Clone()
+					reach := baseReach.Clone()
+					if err := cand.ApplyLog(g, &log, reach); err != nil {
 						continue // inapplicable candidates are allowed to refuse
 					}
-					applied++
 					rep.tick(OracleDelta)
-					checkDeltaCandidate(rep, g, resources, base, baseReach, levels, cand, added)
-					undo()
-					if g.Fingerprint() != before {
-						rep.failf(OracleDelta, "%s: undo did not restore the graph", cand)
+					if err := cand.Apply(ref); err != nil || g.Fingerprint() != ref.Fingerprint() {
+						rep.failf(OracleDelta, "%s: ApplyLog and Apply on a clone disagree (Apply: %v)", cand, err)
+					}
+					if seq {
+						seqs++
+						checkDeltaCandidate(rep, g, resources, base, reach, levels, cand)
+					} else {
+						copySpills++
+					}
+					log.Revert()
+					if g.Fingerprint() != before || g.NumNodes() != nodes || g.Func.NumRegs() != regs {
+						rep.failf(OracleDelta, "%s: revert did not restore the graph", cand)
 						return
 					}
 				}
@@ -102,16 +110,12 @@ func checkDelta(rep *Report, c *Case) {
 }
 
 // checkDeltaCandidate compares, on the already-transformed graph g, the
-// incremental closure and per-resource delta measurements against their
-// from-scratch references.
+// closure ApplyLog extended (inc) and the per-resource delta measurements
+// against their from-scratch references.
 func checkDeltaCandidate(rep *Report, g *dag.Graph, resources []core.Resource,
-	base map[string]*measure.Result, baseReach *order.Relation, levels []int,
-	cand *transform.Candidate, added [][2]int) {
+	base map[string]*measure.Result, inc *order.Relation, levels []int,
+	cand *transform.Candidate) {
 
-	inc := baseReach.Clone()
-	for _, e := range added {
-		inc.AddClosureEdge(e[0], e[1])
-	}
 	full := g.Reach()
 	for a := 0; a < full.Size(); a++ {
 		for b := 0; b < full.Size(); b++ {

@@ -47,23 +47,24 @@ type iterState struct {
 //
 // Two evaluation paths exist:
 //
-//   - The incremental path (the default) applies the candidate to the
-//     worker's scratch graph through a reusable transform.UndoLog, checking
-//     and extending the worker's scratch copy of the closure per added edge
+//   - The incremental path is the only one production runs, on every target
+//     family. It applies the candidate to the worker's scratch graph
+//     through a reusable transform.UndoLog, checking and extending the
+//     worker's scratch copy of the closure per added edge
 //     (order.Relation.AddClosureEdge). Sequencing-only candidates then
 //     rederive each resource's reuse pairs into pooled relation storage
 //     (reuse.Reuse.UpdateClosureInto), and warm-start the matching from
 //     the committed measurement with a pooled matcher
-//     (measure.ChainsDeltaWidth). Spill payloads — which add nodes and
-//     rewrite operands, so no cheap delta exists — are measured from
-//     scratch through the cache and reverted via the same undo log. In
-//     steady state the path allocates nothing: graphs, closures, relations,
-//     matchers, and analysis buffers all reset in place across candidates
-//     and across reduction iterations.
-//   - Options.DisableIncremental reverts to the pre-engine reference path:
-//     clone the graph per candidate, apply, re-measure everything from
-//     scratch. The differential delta oracle in internal/check compares the
-//     two on every fuzz case.
+//     (measure.ChainsDeltaWidth). Spill and copy-spill payloads — which
+//     add nodes and rewrite instructions, so no cheap delta exists — are
+//     measured from scratch through the cache and reverted via the same
+//     undo log. In steady state the path allocates nothing: graphs,
+//     closures, relations, matchers, and analysis buffers all reset in
+//     place across candidates and across reduction iterations.
+//   - Options.DisableIncremental selects the reference path: clone the
+//     graph per candidate, apply, re-measure everything from scratch. The
+//     differential delta oracle in internal/check compares the two on
+//     every fuzz case, and the */full benchmark rows time it.
 //
 // Both paths produce the same widths (a maximum matching is a maximum
 // matching however it is reached), so the selection is bit-identical across
@@ -96,7 +97,7 @@ type evaluator struct {
 
 // commitRec describes one committed transformation for scratch replay.
 type commitRec struct {
-	spill bool
+	spill bool // a spill or copy-spill payload: scratches re-clone
 	edges [][2]int
 }
 
@@ -180,7 +181,7 @@ func (e *evaluator) state() *iterState {
 // commit records that the candidate was just applied to the committed
 // graph: it advances the generation, invalidates the memoized iteration
 // state, and updates the closure — in place for sequencing commits,
-// recomputed for spills (which add nodes).
+// recomputed for spills and copy-spills (which add nodes).
 //
 // The caller must call commit after every Candidate.Apply on e.g and
 // before the next state or evalAll.
@@ -205,9 +206,9 @@ func (e *evaluator) commit(c *transform.Candidate) {
 
 // scratch returns worker w's scratch state, building it on first use and
 // bringing its graph up to the committed generation: sequencing commits are
-// replayed as plain edge insertions; a spill commit (which restructures
-// instructions) forces a fresh clone. Iterations whose candidates all take
-// the full path never pay for clones.
+// replayed as plain edge insertions; a spill or copy-spill commit (which
+// restructures instructions) forces a fresh clone. The reference path
+// never calls it, so it never pays for scratch clones.
 func (e *evaluator) scratch(w int) *evalScratch {
 	sc := e.scratches[w]
 	if sc == nil {
@@ -314,9 +315,9 @@ func (e *evaluator) evalAll(cands []scored) ([]evalOutcome, error) {
 // the reusable undo log: apply, measure, revert. The scratch closure is
 // seeded from the committed one before the apply, whose cycle checks read
 // it and whose added edges extend it. Sequencing-only candidates are then
-// measured by pooled closure update plus warm-started matching; spill
-// payloads (and register resources whose kill selection shifted) fall back
-// to a full from-scratch measurement through the cache.
+// measured by pooled closure update plus warm-started matching; spill and
+// copy-spill payloads (and register resources whose kill selection
+// shifted) fall back to a full from-scratch measurement through the cache.
 func (e *evaluator) evalIncremental(sc *evalScratch, st *iterState, s scored) evalOutcome {
 	if sc.reach == nil || sc.reach.Size() != st.reach.Size() {
 		sc.reach = order.NewRelation(st.reach.Size())
@@ -359,10 +360,11 @@ func (e *evaluator) evalIncremental(sc *evalScratch, st *iterState, s scored) ev
 			}
 		}
 	} else {
-		// Spills restructure values — they add nodes and rewrite uses — so
-		// no cheap delta exists; re-measure every resource from scratch
-		// through the cache, which still collapses repeats of the same
-		// transformed state across styles and plateau scans.
+		// Spills and copy-spills restructure values — they add nodes and
+		// rewrite instructions — so no cheap delta exists; re-measure
+		// every resource from scratch through the cache, which still
+		// collapses repeats of the same transformed state across styles
+		// and plateau scans.
 		for ri := range e.resources {
 			r := &e.resources[ri]
 			res := e.opts.Cache.Measure(sc.g, r.Name, r.Build)

@@ -8,6 +8,7 @@ import (
 	"ursa/internal/dag"
 	"ursa/internal/machine"
 	"ursa/internal/measure"
+	"ursa/internal/target"
 	"ursa/internal/transform"
 )
 
@@ -153,11 +154,13 @@ func TestPlateauMovesAreSpillsAndBounded(t *testing.T) {
 // TestStyleDeterminismAcrossWorkers: for every tie-break style, the full
 // applied-transformation sequence, final widths and fit verdicts are
 // identical whether candidates are evaluated inline, across 4 or 8
-// workers, or by the pre-engine full-remeasure path — the engine changes
-// cost only, never choice. GOMAXPROCS is forced above 1 so the -j 4/8
-// variants really fan out; run under -race this also sweeps the worker
-// scratch arenas, the shared iteration state and the measurement cache's
-// flight coalescing for data races.
+// workers, or by the full-remeasure reference path — the engine changes
+// cost only, never choice. The third sweep runs clusterized blocks on
+// clus2x2x4 (transfer buses, copy-spills) and blocks on edp2x6b1 (output
+// buffers). GOMAXPROCS is forced above 1 so the -j 4/8 variants really fan
+// out; run under -race this also sweeps the worker scratch arenas, the
+// shared iteration state and the measurement cache's flight coalescing for
+// data races.
 func TestStyleDeterminismAcrossWorkers(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
@@ -175,6 +178,7 @@ func TestStyleDeterminismAcrossWorkers(t *testing.T) {
 	}{
 		{3, 6, 10, 16, append(plateauMachines(), machine.VLIW(2, 3), machine.VLIW(1, 4)), false},
 		{17, deep, 14, 12, []*machine.Config{machine.VLIW(1, 3), machine.VLIW(2, 3), machine.VLIW(1, 4)}, true},
+		{23, 4, 16, 12, []*machine.Config{target.ByName("clus2x2x4").Config, target.ByName("edp2x6b1").Config}, false},
 	}
 	for _, sw := range sweeps {
 		rng := rand.New(rand.NewSource(sw.seed))
@@ -185,14 +189,18 @@ func TestStyleDeterminismAcrossWorkers(t *testing.T) {
 				machines = machines[trial%len(machines) : trial%len(machines)+1]
 			}
 			for _, m := range machines {
+				blk := f.Clone()
+				if _, err := target.Clusterize(blk.Blocks[0], m); err != nil {
+					t.Fatalf("clusterize: %v", err)
+				}
 				for _, style := range []scoreStyle{styleDefault, styleAggressive, styleSpillFirst} {
-					ref := runVariant(t, f, Options{Machine: m, Workers: 1}, style)
+					ref := runVariant(t, blk, Options{Machine: m, Workers: 1}, style)
 					for _, opts := range []Options{
 						{Machine: m, Workers: 4},
 						{Machine: m, Workers: 8},
 						{Machine: m, Workers: 1, DisableIncremental: true},
 					} {
-						rep := runVariant(t, f, opts, style)
+						rep := runVariant(t, blk, opts, style)
 						if diff := reportsEqual(ref, rep); diff != "" {
 							t.Errorf("seed %d trial %d %s style %d -j %d incremental=%v: %s",
 								sw.seed, trial, m.Name, style, opts.Workers, !opts.DisableIncremental, diff)

@@ -28,7 +28,8 @@ type reachCase struct {
 
 // reachCases returns every kernel block at unroll 4 on vliw2x4 and
 // hetero-big, 12 seeded random blocks on vliw4x6, and one clustered block on
-// clus2x2x4, which takes the reference (DisableIncremental) path.
+// clus2x2x4, run on the incremental engine and on the reference
+// (DisableIncremental) path.
 func reachCases(t *testing.T) []reachCase {
 	t.Helper()
 	preset := func(name string) *machine.Config {
@@ -70,11 +71,10 @@ func reachCases(t *testing.T) []reachCase {
 	if _, err := target.Clusterize(f.Blocks[0], m); err != nil {
 		t.Fatalf("clusterize: %v", err)
 	}
-	cases = append(cases, reachCase{
-		name: "rand13/clus2x2x4",
-		f:    f,
-		opts: Options{Machine: m, DisableIncremental: true},
-	})
+	cases = append(cases,
+		reachCase{name: "rand13/clus2x2x4", f: f, opts: Options{Machine: m}},
+		reachCase{name: "rand13/clus2x2x4/full", f: f, opts: Options{Machine: m, DisableIncremental: true}},
+	)
 	return cases
 }
 

@@ -84,11 +84,12 @@ type Options struct {
 	// outcomes are collected by candidate index and ranked by a
 	// deterministic sort.
 	Workers int
-	// DisableIncremental reverts candidate scoring to the pre-engine
-	// behavior: clone the graph per candidate and re-measure every
-	// resource from scratch. Kept as the reference implementation for the
-	// differential delta oracle and as the baseline the reduction-loop
-	// benchmarks compare against.
+	// DisableIncremental scores candidates on the reference path: clone
+	// the graph per candidate and re-measure every resource from scratch.
+	// The output is identical either way. No production caller sets it;
+	// it is the reference the differential delta oracle compares the
+	// incremental engine against, and the baseline of the */full
+	// benchmark rows.
 	DisableIncremental bool
 }
 
@@ -326,13 +327,6 @@ func Run(g *dag.Graph, opts Options) (*Report, error) {
 		// start from clones of the same graph and re-measure overlapping
 		// transformed states.
 		opts.Cache = measure.NewCache()
-	}
-	if m.Clusters > 1 || m.BufferDepth > 0 {
-		// Copy-spill candidates rewrite an opcode in place, which the
-		// incremental engine's undo log cannot restore, and the extended
-		// target models have no delta oracle coverage yet; both run on the
-		// full-clone reference evaluation path.
-		opts.DisableIncremental = true
 	}
 	styles := []scoreStyle{styleDefault, styleAggressive}
 	if !opts.DisableSpills {

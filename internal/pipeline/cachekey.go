@@ -25,9 +25,10 @@ import (
 // the output-affecting options (Optimize and the URSA driver's policy and
 // ablation switches).
 //
-// Excluded: worker counts and contexts (the emitted program is
-// byte-identical at every parallelism by construction), trace sinks, and
-// the measurement cache handle (pure memoization).
+// Excluded: worker counts, the candidate-evaluation path and contexts (the
+// emitted program is byte-identical at every parallelism and on either
+// evaluation path by construction), trace sinks, and the measurement cache
+// handle (pure memoization).
 func CacheKey(f *ir.Func, m *machine.Config, method Method, opts Options) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -58,7 +59,6 @@ func CacheKey(f *ir.Func, m *machine.Config, method Method, opts Options) string
 	wInt(int64(opts.Core.MaxIters))
 	wBool(opts.Core.DisableSpills)
 	wBool(opts.Core.DisableSequencing)
-	wBool(opts.Core.DisableIncremental)
 
 	return hex.EncodeToString(h.Sum(nil))
 }

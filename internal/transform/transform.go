@@ -89,12 +89,10 @@ func (c *Candidate) String() string {
 	return c.Kind.String()
 }
 
-// Apply mutates the graph. It returns an error (leaving the graph in a
-// valid, possibly partially-extended state only on the error paths noted
-// below) if the candidate is inapplicable: an edge would create a cycle, or
-// a spill would rewire no uses. Callers that must not observe partial
-// application should apply to a clone first — the driver's
-// tentative-apply-and-score loop does exactly that.
+// Apply mutates the graph for good: it is the commit path. It returns an
+// error (leaving the graph in a valid, possibly partially-extended state)
+// if the candidate is inapplicable: an edge would create a cycle, or a
+// spill would rewire no uses. Tentative applications use ApplyLog.
 func (c *Candidate) Apply(g *dag.Graph) error {
 	for _, e := range c.Edges {
 		if g.HasEdge(e[0], e[1]) {
@@ -111,7 +109,7 @@ func (c *Candidate) Apply(g *dag.Graph) error {
 		}
 	}
 	if c.CopySpill != nil {
-		if err := applyCopySpill(g, c.CopySpill); err != nil {
+		if err := applyCopySpill(g, c.CopySpill, nil); err != nil {
 			return err
 		}
 	}
@@ -122,13 +120,17 @@ func (c *Candidate) Apply(g *dag.Graph) error {
 // change can be reverted in place. One log lives per evaluator worker and
 // is reused across candidates; its slices keep their capacity, so the
 // steady-state apply/score/revert cycle allocates nothing.
+//
+// The payload wiring mutates the graph through the log's recording
+// methods. On a nil log (the commit path) they only mutate.
 type UndoLog struct {
 	g       *dag.Graph
 	nodes   int // node count at ApplyLog time
 	regs    int // Func.NumRegs at ApplyLog time
 	added   [][2]int
 	removed []removedEdge
-	patches []argPatch
+	patches []regPatch
+	instrs  []instrSnapshot
 }
 
 type removedEdge struct {
@@ -136,29 +138,34 @@ type removedEdge struct {
 	kind dag.EdgeKind
 }
 
-// argPatch records one operand rewrite: slot >= 0 indexes Instr.Args,
-// slot == -1 means the Index register.
-type argPatch struct {
-	in   *ir.Instr
-	slot int
-	old  ir.VReg
+// regPatch records one operand rewrite: the Args element or Index field
+// that changed, and its old register.
+type regPatch struct {
+	at  *ir.VReg
+	old ir.VReg
 }
 
-// Revert undoes the recorded application: operand rewrites are restored,
-// removed edges re-added with their original kinds, added edges removed,
-// and any nodes and registers the application created are truncated away.
-// Successor/predecessor list order may differ from the pre-apply state
-// (re-added edges append at the tail); every analysis the evaluator runs is
-// order-independent, and the committed graph never goes through a revert.
+// instrSnapshot records an instruction rewritten in place (a copy-spill
+// turns its copy into the reload, replacing Op, Args and Sym) as it was.
+type instrSnapshot struct {
+	in  *ir.Instr
+	old ir.Instr
+}
+
+// Revert undoes the recorded application: instruction and operand rewrites
+// are restored, removed edges re-added with their original kinds, added
+// edges removed, and any nodes and registers the application created are
+// truncated away. Successor/predecessor list order may differ from the
+// pre-apply state (re-added edges append at the tail); every analysis the
+// evaluator runs is order-independent, and the committed graph never goes
+// through a revert.
 func (u *UndoLog) Revert() {
 	g := u.g
+	for i := len(u.instrs) - 1; i >= 0; i-- {
+		*u.instrs[i].in = u.instrs[i].old
+	}
 	for i := len(u.patches) - 1; i >= 0; i-- {
-		p := u.patches[i]
-		if p.slot < 0 {
-			p.in.Index = p.old
-		} else {
-			p.in.Args[p.slot] = p.old
-		}
+		*u.patches[i].at = u.patches[i].old
 	}
 	for i := len(u.added) - 1; i >= 0; i-- {
 		g.RemoveEdge(u.added[i][0], u.added[i][1])
@@ -171,6 +178,38 @@ func (u *UndoLog) Revert() {
 	g.Func.TruncateRegs(u.regs)
 }
 
+// addEdge adds the edge (a, b), which must not be present yet.
+func (u *UndoLog) addEdge(g *dag.Graph, a, b int, kind dag.EdgeKind) {
+	g.AddEdge(a, b, kind)
+	if u != nil {
+		u.added = append(u.added, [2]int{a, b})
+	}
+}
+
+// removeEdge removes the edge (a, b), which must be present.
+func (u *UndoLog) removeEdge(g *dag.Graph, a, b int) {
+	if u != nil {
+		kind, _ := g.EdgeKindOf(a, b)
+		u.removed = append(u.removed, removedEdge{a: a, b: b, kind: kind})
+	}
+	g.RemoveEdge(a, b)
+}
+
+// setReg rewrites one operand register.
+func (u *UndoLog) setReg(at *ir.VReg, v ir.VReg) {
+	if u != nil {
+		u.patches = append(u.patches, regPatch{at: at, old: *at})
+	}
+	*at = v
+}
+
+// snapshot records in before it is rewritten in place.
+func (u *UndoLog) snapshot(in *ir.Instr) {
+	if u != nil {
+		u.instrs = append(u.instrs, instrSnapshot{in: in, old: *in})
+	}
+}
+
 // reset points the log at a fresh application on g.
 func (u *UndoLog) reset(g *dag.Graph) {
 	u.g = g
@@ -179,12 +218,13 @@ func (u *UndoLog) reset(g *dag.Graph) {
 	u.added = u.added[:0]
 	u.removed = u.removed[:0]
 	u.patches = u.patches[:0]
+	u.instrs = u.instrs[:0]
 }
 
-// ApplyLog tentatively applies the candidate — sequencing edges and, unlike
-// ApplyUndo, spill payloads too — recording every change in the reusable
-// log. On error the partial application is already reverted and the graph
-// is back in its prior state. On success the caller scores the transformed
+// ApplyLog tentatively applies the candidate — sequencing edges and any
+// spill or copy-spill payload — recording every change in the reusable log.
+// On error the partial application is already reverted and the graph is
+// back in its prior state. On success the caller scores the transformed
 // graph and then calls log.Revert.
 //
 // reach must hold g's transitive closure on entry. The cycle check of each
@@ -192,15 +232,9 @@ func (u *UndoLog) reset(g *dag.Graph) {
 // place, so after a successful sequencing-only application reach is the
 // closure of the transformed graph. The graph's revert does not touch
 // reach: the caller reseeds it before the next application, also after an
-// error, which may leave it partially extended. A spill payload's own
-// wiring still runs DFS reachability and leaves reach stale.
+// error, which may leave it partially extended. A payload's own wiring
+// still runs DFS reachability and leaves reach stale.
 func (c *Candidate) ApplyLog(g *dag.Graph, log *UndoLog, reach *order.Relation) error {
-	if c.CopySpill != nil {
-		// Copy-spill rewrites an instruction's opcode in place, which the
-		// undo log cannot restore; clustered reductions run the full-clone
-		// evaluation path, so this is never reached in normal operation.
-		return fmt.Errorf("transform %s: copy-spill candidates have no undo; evaluate on a clone", c.Kind)
-	}
 	log.reset(g)
 	for _, e := range c.Edges {
 		if g.HasEdge(e[0], e[1]) {
@@ -211,12 +245,17 @@ func (c *Candidate) ApplyLog(g *dag.Graph, log *UndoLog, reach *order.Relation) 
 			log.Revert()
 			return fmt.Errorf("transform %s: edge %d->%d would create a cycle", c.Kind, e[0], e[1])
 		}
-		g.AddEdge(e[0], e[1], dag.EdgeSeq)
+		log.addEdge(g, e[0], e[1], dag.EdgeSeq)
 		reach.AddClosureEdge(e[0], e[1])
-		log.added = append(log.added, e)
 	}
 	if c.Spill != nil {
 		if err := applySpill(g, c.Spill, log); err != nil {
+			log.Revert()
+			return err
+		}
+	}
+	if c.CopySpill != nil {
+		if err := applyCopySpill(g, c.CopySpill, log); err != nil {
 			log.Revert()
 			return err
 		}
@@ -226,40 +265,9 @@ func (c *Candidate) ApplyLog(g *dag.Graph, log *UndoLog, reach *order.Relation) 
 
 // SeqOnly reports whether the candidate is a pure sequentialization — it
 // only adds sequence edges, with no spill or copy-spill payload. Only such
-// candidates can be applied tentatively with ApplyUndo and remeasured
-// incrementally.
+// candidates keep the node set and every instruction unchanged, so only
+// they are remeasured incrementally; payloads are remeasured from scratch.
 func (c *Candidate) SeqOnly() bool { return c.Spill == nil && c.CopySpill == nil }
-
-// ApplyUndo tentatively applies a sequencing-only candidate: it adds the
-// candidate's edges (skipping ones already present), returning the edges
-// actually added and an undo function that removes exactly those edges,
-// restoring the graph to its prior state. On a would-be cycle the partial
-// application is rolled back before the error returns, so the graph is
-// never left extended. Candidates with a spill payload are rejected — spill
-// insertion creates nodes and rewrites instructions in place, which has no
-// cheap inverse; tentative spills are evaluated on clones instead.
-func (c *Candidate) ApplyUndo(g *dag.Graph) (added [][2]int, undo func(), err error) {
-	if !c.SeqOnly() {
-		return nil, nil, fmt.Errorf("transform %s: spill candidates cannot be undone", c.Kind)
-	}
-	revert := func() {
-		for _, e := range added {
-			g.RemoveEdge(e[0], e[1])
-		}
-	}
-	for _, e := range c.Edges {
-		if g.HasEdge(e[0], e[1]) {
-			continue
-		}
-		if g.HasPath(e[1], e[0]) {
-			revert()
-			return nil, nil, fmt.Errorf("transform %s: edge %d->%d would create a cycle", c.Kind, e[0], e[1])
-		}
-		g.AddEdge(e[0], e[1], dag.EdgeSeq)
-		added = append(added, e)
-	}
-	return added, revert, nil
-}
 
 // Key returns a canonical identity for the transformation's effect: the
 // kind, the edge set in sorted order, and the spill target. Candidates with
@@ -343,19 +351,12 @@ func appendSortedInts(dst []byte, xs []int) []byte {
 // delayable uses. With log == nil (the commit path) the graph is mutated
 // for good; with a log every change is recorded so the caller can revert —
 // the store/load wiring always touches the freshly added nodes, so every
-// AddEdge here is a genuinely new edge and is logged unconditionally.
+// edge added here is a genuinely new edge.
 func applySpill(g *dag.Graph, sp *SpillSpec, log *UndoLog) error {
 	f := g.Func
 	name := f.NameOf(sp.Reg)
 	class := f.ClassOf(sp.Reg)
 	slot := "spill." + name
-
-	addEdge := func(a, b int, kind dag.EdgeKind) {
-		g.AddEdge(a, b, kind)
-		if log != nil {
-			log.added = append(log.added, [2]int{a, b})
-		}
-	}
 
 	if g.LiveOut[sp.Reg] {
 		return fmt.Errorf("transform spill: %s is live-out", name)
@@ -376,15 +377,15 @@ func applySpill(g *dag.Graph, sp *SpillSpec, log *UndoLog) error {
 	st := g.AddInstr(&ir.Instr{Op: ir.SpillStore, Args: []ir.VReg{sp.Reg}, Sym: slot, Cluster: defNode.Instr.Cluster})
 	nv := f.NewReg(name+".r", class)
 	ld := g.AddInstr(&ir.Instr{Op: ir.SpillLoad, Dst: nv, Sym: slot, Cluster: defNode.Instr.Cluster})
-	addEdge(sp.Def, st, dag.EdgeData)
-	addEdge(st, ld, dag.EdgeMem)
+	log.addEdge(g, sp.Def, st, dag.EdgeData)
+	log.addEdge(g, st, ld, dag.EdgeMem)
 
 	// The reload waits for SD1 to finish.
 	for _, b := range sp.Barrier {
 		if b == ld || g.HasPath(ld, b) {
 			continue
 		}
-		addEdge(b, ld, dag.EdgeSeq)
+		log.addEdge(g, b, ld, dag.EdgeSeq)
 	}
 	// The store happens before SD1 starts, freeing the register. Roots
 	// that are ancestors of the definition cannot be sequenced after it.
@@ -392,7 +393,7 @@ func applySpill(g *dag.Graph, sp *SpillSpec, log *UndoLog) error {
 		if r == st || g.HasPath(r, sp.Def) || g.HasPath(r, st) {
 			continue
 		}
-		addEdge(st, r, dag.EdgeSeq)
+		log.addEdge(g, st, r, dag.EdgeSeq)
 	}
 
 	// Rewire every use that can legally wait for the reload.
@@ -404,26 +405,16 @@ func applySpill(g *dag.Graph, sp *SpillSpec, log *UndoLog) error {
 		in := g.Nodes[u].Instr
 		for i, a := range in.Args {
 			if a == sp.Reg {
-				if log != nil {
-					log.patches = append(log.patches, argPatch{in: in, slot: i, old: a})
-				}
-				in.Args[i] = nv
+				log.setReg(&in.Args[i], nv)
 			}
 		}
 		if in.Index == sp.Reg {
-			if log != nil {
-				log.patches = append(log.patches, argPatch{in: in, slot: -1, old: sp.Reg})
-			}
-			in.Index = nv
+			log.setReg(&in.Index, nv)
 		}
 		if g.HasEdge(sp.Def, u) {
-			if log != nil {
-				kind, _ := g.EdgeKindOf(sp.Def, u)
-				log.removed = append(log.removed, removedEdge{a: sp.Def, b: u, kind: kind})
-			}
-			g.RemoveEdge(sp.Def, u)
+			log.removeEdge(g, sp.Def, u)
 		}
-		addEdge(ld, u, dag.EdgeData)
+		log.addEdge(g, ld, u, dag.EdgeData)
 		rewired++
 	}
 	if rewired == 0 {
@@ -439,7 +430,7 @@ func applySpill(g *dag.Graph, sp *SpillSpec, log *UndoLog) error {
 	}
 	// Keep the hammock property for the new nodes.
 	if len(g.Succs(ld)) == 0 {
-		addEdge(ld, g.Leaf, dag.EdgeSeq)
+		log.addEdge(g, ld, g.Leaf, dag.EdgeSeq)
 	}
 	return nil
 }
@@ -449,10 +440,10 @@ func applySpill(g *dag.Graph, sp *SpillSpec, log *UndoLog) error {
 // copy instruction itself is rewritten in place into the reload — same
 // destination register, same cluster, so every consumer edge survives
 // untouched. The one data edge from the source's definition to the copy is
-// replaced by def -> store -> load wiring. There is no log variant: the
-// opcode rewrite has no cheap inverse, so tentative copy-spills are always
-// evaluated on clones.
-func applyCopySpill(g *dag.Graph, sp *CopySpillSpec) error {
+// replaced by def -> store -> load wiring. As in applySpill, a nil log is
+// the commit path and a log records every change, the rewritten copy
+// included.
+func applyCopySpill(g *dag.Graph, sp *CopySpillSpec, log *UndoLog) error {
 	if sp.Copy < 0 || sp.Copy >= g.NumNodes() {
 		return fmt.Errorf("transform copy-spill: node %d out of range", sp.Copy)
 	}
@@ -470,17 +461,18 @@ func applyCopySpill(g *dag.Graph, sp *CopySpillSpec) error {
 	srcCluster := g.Nodes[def].Instr.Cluster
 
 	st := g.AddInstr(&ir.Instr{Op: ir.SpillStore, Args: []ir.VReg{src}, Sym: slot, Cluster: srcCluster})
+	log.snapshot(in)
 	in.Op = ir.SpillLoad
 	in.Args = nil
 	in.Sym = slot
 
 	if g.HasEdge(def, sp.Copy) {
-		g.RemoveEdge(def, sp.Copy)
+		log.removeEdge(g, def, sp.Copy)
 	}
-	g.AddEdge(def, st, dag.EdgeData)
-	g.AddEdge(st, sp.Copy, dag.EdgeMem)
+	log.addEdge(g, def, st, dag.EdgeData)
+	log.addEdge(g, st, sp.Copy, dag.EdgeMem)
 	if len(g.Succs(sp.Copy)) == 0 {
-		g.AddEdge(sp.Copy, g.Leaf, dag.EdgeSeq)
+		log.addEdge(g, sp.Copy, g.Leaf, dag.EdgeSeq)
 	}
 	return nil
 }

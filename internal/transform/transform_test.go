@@ -7,6 +7,7 @@ import (
 	"ursa/internal/ir"
 	"ursa/internal/measure"
 	"ursa/internal/reuse"
+	"ursa/internal/target"
 )
 
 const paperSrc = `
@@ -297,9 +298,9 @@ func TestSequencingNeverIncreasesWidth(t *testing.T) {
 	}
 }
 
-// TestApplyUndoRoundTrip: a tentative application adds exactly the missing
-// edges and its undo restores the graph fingerprint — the contract that
-// lets the evaluator reuse one scratch graph across many candidates.
+// TestApplyUndoRoundTrip: applying a sequencing candidate through the undo
+// log adds only the edges the graph lacks, and undoing the log restores the
+// graph.
 func TestApplyUndoRoundTrip(t *testing.T) {
 	g := paperGraph(t)
 	b, c := node(t, g, "w"), node(t, g, "x")
@@ -310,17 +311,17 @@ func TestApplyUndoRoundTrip(t *testing.T) {
 	cand := &Candidate{Kind: FUSequence, Edges: [][2]int{pre, {b, c}}, Note: "test"}
 
 	before := g.Fingerprint()
-	added, undo, err := cand.ApplyUndo(g)
-	if err != nil {
-		t.Fatalf("ApplyUndo: %v", err)
+	var log UndoLog
+	if err := cand.ApplyLog(g, &log, g.Reach()); err != nil {
+		t.Fatalf("ApplyLog: %v", err)
 	}
-	if len(added) != 1 || added[0] != [2]int{b, c} {
-		t.Fatalf("added %v, want just %v (existing edge must be skipped)", added, [2]int{b, c})
+	if len(log.added) != 1 || log.added[0] != [2]int{b, c} {
+		t.Fatalf("added %v, want just %v (existing edge must be skipped)", log.added, [2]int{b, c})
 	}
 	if !g.HasEdge(b, c) {
 		t.Fatal("edge not applied")
 	}
-	undo()
+	log.Revert()
 	if g.Fingerprint() != before {
 		t.Fatal("undo did not restore the graph")
 	}
@@ -333,21 +334,12 @@ func TestApplyUndoRollsBackOnCycle(t *testing.T) {
 	b, c := node(t, g, "w"), node(t, g, "x")
 	cand := &Candidate{Kind: FUSequence, Edges: [][2]int{{b, c}, {c, b}}, Note: "cycle"}
 	before := g.Fingerprint()
-	if _, _, err := cand.ApplyUndo(g); err == nil {
+	var log UndoLog
+	if err := cand.ApplyLog(g, &log, g.Reach()); err == nil {
 		t.Fatal("cycle accepted")
 	}
 	if g.Fingerprint() != before {
 		t.Fatal("failed application left edges behind")
-	}
-}
-
-// TestApplyUndoRejectsSpill: spills mutate instructions and create nodes,
-// so tentative application must refuse them.
-func TestApplyUndoRejectsSpill(t *testing.T) {
-	cand := &Candidate{Kind: Spill, Spill: &SpillSpec{Def: 0}}
-	g := paperGraph(t)
-	if _, _, err := cand.ApplyUndo(g); err == nil {
-		t.Fatal("spill candidate accepted by ApplyUndo")
 	}
 }
 
@@ -389,6 +381,49 @@ func TestApplyLogExtendsClosure(t *testing.T) {
 		if g.Fingerprint() != before {
 			t.Fatalf("refused %v left edges behind", edges)
 		}
+	}
+}
+
+// TestApplyLogCopySpill: a copy-spill applied through the undo log
+// transforms the graph exactly as Apply does on a clone, and Revert
+// restores the original — the copy's opcode, operands and symbol, the
+// removed def->copy edge, and the node and register counts.
+func TestApplyLogCopySpill(t *testing.T) {
+	f := ir.MustParse(paperSrc)
+	if _, err := target.Clusterize(f.Blocks[0], target.ByName("clus2x2x4").Config); err != nil {
+		t.Fatalf("Clusterize: %v", err)
+	}
+	g, err := dag.Build(f.Blocks[0])
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	before, nodes, regs := g.Fingerprint(), g.NumNodes(), g.Func.NumRegs()
+	var log UndoLog
+	copies := 0
+	for _, n := range g.InstrNodes() {
+		if !g.Nodes[n].Instr.IsCopy() {
+			continue
+		}
+		copies++
+		cand := &Candidate{Kind: CopySpill, CopySpill: &CopySpillSpec{Copy: n}}
+		cl := g.Clone()
+		cl.Func = g.Func.Clone()
+		if err := cand.Apply(cl); err != nil {
+			t.Fatalf("copy %d: Apply: %v", n, err)
+		}
+		if err := cand.ApplyLog(g, &log, g.Reach()); err != nil {
+			t.Fatalf("copy %d: ApplyLog: %v", n, err)
+		}
+		if g.Fingerprint() != cl.Fingerprint() {
+			t.Errorf("copy %d: ApplyLog and Apply disagree", n)
+		}
+		log.Revert()
+		if g.Fingerprint() != before || g.NumNodes() != nodes || g.Func.NumRegs() != regs {
+			t.Fatalf("copy %d: revert did not restore the graph", n)
+		}
+	}
+	if copies == 0 {
+		t.Fatal("clusterized block has no inter-cluster copy")
 	}
 }
 
